@@ -10,6 +10,14 @@ Dates are ISO-8601 (``YYYY-MM-DD``); ``death_date`` may be empty. A claim may
 carry zero or more ``SYSTEM:code`` items. A beneficiary record must appear
 before any of its claims. Blank lines and lines starting with ``#`` are
 ignored. The parser rejects unknown tags.
+
+Each read interns its tokens: the first time a ``SYSTEM:code`` token, a
+service-date string or a claim type appears in a read, it is validated and
+turned into its ``CodedItem``, ``date`` or ``ClaimType`` value; later
+occurrences in the same read reuse that immutable value. A claims file holds
+few distinct tokens and many repeats, so most of the per-token validation and
+object construction drops out. The intern tables live only as long as the
+read, and every claim still gets its own ``items`` list.
 """
 
 from __future__ import annotations
@@ -18,8 +26,10 @@ import json
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
+from functools import lru_cache
+from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Union
+from typing import IO, Iterable, Iterator, Sequence, Union
 
 from .errors import ConfigError, DataError, ParseError
 
@@ -112,6 +122,9 @@ class Claim:
     items: list[CodedItem] = field(default_factory=list)
 
 
+_service_date = attrgetter("service_date")
+
+
 @dataclass(slots=True)
 class ClaimTimeline:
     """A beneficiary's claims in ascending service-date order.
@@ -124,7 +137,7 @@ class ClaimTimeline:
     claims: list[Claim] = field(default_factory=list)
 
     def sort(self) -> None:
-        self.claims.sort(key=lambda c: c.service_date)
+        self.claims.sort(key=_service_date)
 
 
 @dataclass(frozen=True)
@@ -231,6 +244,37 @@ def first_occurrence(timeline: ClaimTimeline, codeset: CodeSet) -> date | None:
     return None
 
 
+@lru_cache(maxsize=16)
+def _code_index(codesets: tuple[CodeSet, ...]) -> dict[str, tuple[tuple[CodeSystem, int], ...]]:
+    """code -> (system, position in codesets) for every pair of every set; read-only."""
+    index: dict[str, list[tuple[CodeSystem, int]]] = {}
+    for k, codeset in enumerate(codesets):
+        for system, code in codeset.codes:
+            index.setdefault(code, []).append((system, k))
+    return {code: tuple(hits) for code, hits in index.items()}
+
+
+def first_occurrences(
+    timeline: ClaimTimeline, codesets: Sequence[CodeSet]
+) -> list[date | None]:
+    """first_occurrence for each of several code sets, from one scan of the timeline."""
+    index = _code_index(tuple(codesets))
+    firsts: list[date | None] = [None] * len(codesets)
+    pending = len(codesets)
+    for claim in timeline.claims:
+        for item in claim.items:
+            hits = index.get(item.code)
+            if hits is None:
+                continue
+            for system, k in hits:
+                if firsts[k] is None and system == item.system:
+                    firsts[k] = claim.service_date
+                    pending -= 1
+        if not pending:
+            break
+    return firsts
+
+
 # ---------------------------------------------------------------------------
 # Line-delimited IO
 
@@ -281,31 +325,54 @@ def _parse_beneficiary(fields: list[str], line_no: int) -> Beneficiary:
     return bene
 
 
-def _parse_claim(fields: list[str], line_no: int) -> Claim:
+def _parse_item(token: str, line_no: int) -> CodedItem:
+    system_raw, sep, code = token.partition(":")
+    if not sep or not code:
+        raise ParseError(line_no, f"bad item {token!r} (expected SYSTEM:code)")
+    try:
+        system = CodeSystem(system_raw)
+    except ValueError:
+        raise ParseError(line_no, f"unknown code system {system_raw!r}")
+    return CodedItem(system, code)
+
+
+def _parse_claim(
+    fields: list[str],
+    line_no: int,
+    dates: dict[str, date],
+    types: dict[str, ClaimType],
+    items: dict[str, CodedItem],
+) -> Claim:
+    """Parse one claim record, interning its values in the read's tables.
+
+    A raw value is validated on the first line it appears on and looked up
+    after that, so errors carry the line number and message a per-token parse
+    would give them.
+    """
     if len(fields) < 4:
         raise ParseError(line_no, f"claim record needs at least 4 fields, got {len(fields)}")
     _, bid, date_raw, type_raw = fields[:4]
     if not bid:
         raise ParseError(line_no, "claim with empty beneficiary_id")
-    service_date = _parse_date(date_raw, line_no, "service_date")
-    try:
-        claim_type = ClaimType(type_raw)
-    except ValueError:
-        raise ParseError(line_no, f"bad claim_type {type_raw!r}")
-    items = []
-    for token in fields[4:]:
-        system_raw, sep, code = token.partition(":")
-        if not sep or not code:
-            raise ParseError(line_no, f"bad item {token!r} (expected SYSTEM:code)")
+    if date_raw not in dates:
+        dates[date_raw] = _parse_date(date_raw, line_no, "service_date")
+    if type_raw not in types:
         try:
-            system = CodeSystem(system_raw)
+            types[type_raw] = ClaimType(type_raw)
         except ValueError:
-            raise ParseError(line_no, f"unknown code system {system_raw!r}")
-        items.append(CodedItem(system, code))
-    return Claim(bid, service_date, claim_type, items)
+            raise ParseError(line_no, f"bad claim_type {type_raw!r}")
+    tokens = fields[4:]
+    for token in tokens:
+        if token not in items:
+            items[token] = _parse_item(token, line_no)
+    return Claim(bid, dates[date_raw], types[type_raw], [items[token] for token in tokens])
 
 
 def _parse_records(source: LineSource) -> Iterator[tuple[int, Beneficiary | Claim]]:
+    # intern tables for this read: raw string -> validated immutable value
+    dates: dict[str, date] = {}
+    types: dict[str, ClaimType] = {}
+    items: dict[str, CodedItem] = {}
     for line_no, line in enumerate(_iter_lines(source), start=1):
         line = line.rstrip("\n")
         if not line or line.startswith("#"):
@@ -315,7 +382,7 @@ def _parse_records(source: LineSource) -> Iterator[tuple[int, Beneficiary | Clai
         if tag == "B":
             yield line_no, _parse_beneficiary(fields, line_no)
         elif tag == "C":
-            yield line_no, _parse_claim(fields, line_no)
+            yield line_no, _parse_claim(fields, line_no, dates, types, items)
         else:
             raise ParseError(line_no, f"unknown record tag {tag!r}")
 

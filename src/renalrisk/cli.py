@@ -26,7 +26,7 @@ def _build_parser() -> _Parser:
     for name in STAGE_ORDER + ("reproduce",):
         p = sub.add_parser(name, help=f"run the {name} stage")
         p.add_argument("--config", required=True, help="pipeline config JSON")
-        p.add_argument("--workers", type=int, default=1, help="intra-stage parallelism")
+        p.add_argument("--workers", type=int, default=1, help="worker processes for synth")
         p.add_argument("--seed", type=int, default=None, help="override every config seed")
         if name in ("train", "predict", "evaluate"):
             p.add_argument("--task", choices=TASKS, default=None, help="restrict to one task")

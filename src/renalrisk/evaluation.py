@@ -12,7 +12,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .claims import ClaimTimeline, CodeSet, first_occurrence
+from .claims import ClaimTimeline, CodeSet, first_occurrences
 from .errors import DataError
 from .triggers import TASKS, Horizons, DEFAULT_HORIZONS
 
@@ -178,15 +178,10 @@ def access_before_onset(
 
     None when the timeline has no dialysis onset.
     """
-    onset = first_occurrence(timeline, dialysis)
+    onset, first_access = first_occurrences(timeline, (dialysis, access))
     if onset is None:
         return None
-    for claim in timeline.claims:
-        if claim.service_date >= onset:
-            break
-        if any(item in access for item in claim.items):
-            return True
-    return False
+    return first_access is not None and first_access < onset
 
 
 def impact_analysis(

@@ -24,7 +24,7 @@ from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
 
-from .claims import ClaimTimeline, CodeSystem, Race, Sex
+from .claims import ClaimTimeline, CodedItem, CodeSystem, Race, Sex
 from .errors import DataError
 from .triggers import TASKS
 
@@ -195,6 +195,10 @@ class ClaimInterner:
     def __init__(self):
         self._ids: dict[tuple[str, str], int] = {}
         self.pairs: list[tuple[str, str]] = []
+        # id(item) -> (item, pair id). A claims read shares one CodedItem per
+        # distinct token, so repeats skip rebuilding and hashing the pair;
+        # holding the item keeps its id from passing to another object.
+        self._by_item: dict[int, tuple[CodedItem, int]] = {}
 
     def pair_id(self, system: str, code: str) -> int:
         key = (system, code)
@@ -204,6 +208,17 @@ class ClaimInterner:
             self._ids[key] = pid
             self.pairs.append(key)
         return pid
+
+    def item_pair_ids(self, items: Iterable[CodedItem]) -> list[int]:
+        """The pair_id of each item, in order."""
+        by_item = self._by_item
+        out = []
+        for item in items:
+            hit = by_item.get(id(item))
+            if hit is None:
+                hit = by_item[id(item)] = (item, self.pair_id(item.system.value, item.code))
+            out.append(hit[1])
+        return out
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -221,21 +236,18 @@ class CompiledTimeline:
 
     def __init__(self, timeline: ClaimTimeline, interner: ClaimInterner):
         bene = timeline.beneficiary
+        claims = timeline.claims
         self.sex = bene.sex
         self.race = bene.race
         self.birth_year = bene.birth_year
         self.days = np.fromiter(
-            (c.service_date.toordinal() for c in timeline.claims),
-            dtype=np.int64,
-            count=len(timeline.claims),
+            (c.service_date.toordinal() for c in claims), dtype=np.int64, count=len(claims)
         )
-        ids: list[int] = []
-        self.claim_ptr = np.zeros(len(timeline.claims) + 1, dtype=np.int64)
-        for i, claim in enumerate(timeline.claims):
-            for item in claim.items:
-                ids.append(interner.pair_id(item.system.value, item.code))
-            self.claim_ptr[i + 1] = len(ids)
-        self.item_ids = np.asarray(ids, dtype=np.int64)
+        self.claim_ptr = np.zeros(len(claims) + 1, dtype=np.int64)
+        np.cumsum([len(c.items) for c in claims], dtype=np.int64, out=self.claim_ptr[1:])
+        self.item_ids = np.asarray(
+            interner.item_pair_ids([item for c in claims for item in c.items]), dtype=np.int64
+        )
 
     def active_pair_buckets(self, t: date) -> np.ndarray:
         """Unique pair_id * N_BUCKETS + bucket values active at trigger t."""

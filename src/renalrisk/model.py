@@ -381,30 +381,64 @@ def save_model(
         handle.write(params.bias.astype("<f8").tobytes(order="C"))
 
 
+_HEADER_KEYS = (
+    "format_version",
+    "task",
+    "n_classes",
+    "n_features",
+    "vocab_hash",
+    "hyperparams",
+    "lineage",
+)
+
+
+def _read_header(handle, path) -> dict:
+    if handle.read(8) != MODEL_MAGIC:
+        raise DataError(f"{path}: not a model file (bad magic)")
+    size = handle.read(4)
+    if len(size) != 4:
+        raise DataError(f"{path}: truncated model header")
+    (length,) = struct.unpack("<I", size)
+    blob = handle.read(length)
+    if len(blob) != length:
+        raise DataError(f"{path}: truncated model header")
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except ValueError:  # UnicodeDecodeError and JSONDecodeError
+        raise DataError(f"{path}: model header is not UTF-8 JSON")
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: model header is not a JSON object")
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise DataError(f"{path}: model header lacks {', '.join(missing)}")
+    for key in ("n_classes", "n_features"):
+        if type(header[key]) is not int or header[key] < 0:
+            raise DataError(f"{path}: model header has a bad {key} {header[key]!r}")
+    return header
+
+
 def read_model_header(path: str | Path) -> dict:
     with open(path, "rb") as handle:
-        magic = handle.read(8)
-        if magic != MODEL_MAGIC:
-            raise DataError(f"{path}: not a model file (bad magic)")
-        (length,) = struct.unpack("<I", handle.read(4))
-        return json.loads(handle.read(length).decode("utf-8"))
+        return _read_header(handle, path)
 
 
 def load_model(
     path: str | Path, expected_vocab_hash: str | None = None
 ) -> tuple[ModelParams, HyperParams, dict]:
+    """Read a model file; refuse a bad magic, header or payload size, or another vocabulary."""
     with open(path, "rb") as handle:
-        magic = handle.read(8)
-        if magic != MODEL_MAGIC:
-            raise DataError(f"{path}: not a model file (bad magic)")
-        (length,) = struct.unpack("<I", handle.read(4))
-        header = json.loads(handle.read(length).decode("utf-8"))
+        header = _read_header(handle, path)
         n_classes = header["n_classes"]
         n_features = header["n_features"]
-        w = np.frombuffer(handle.read(8 * n_classes * n_features), dtype="<f8")
-        b = np.frombuffer(handle.read(8 * n_classes), dtype="<f8")
-    if w.size != n_classes * n_features or b.size != n_classes:
+        size = 8 * n_classes * (n_features + 1)
+        payload = handle.read(size)
+        trailing = handle.read(1)
+    if len(payload) != size:
         raise DataError(f"{path}: truncated model payload")
+    if trailing:
+        raise DataError(f"{path}: trailing bytes after the model payload")
+    w = np.frombuffer(payload, dtype="<f8", count=n_classes * n_features)
+    b = np.frombuffer(payload, dtype="<f8", offset=8 * n_classes * n_features)
     if expected_vocab_hash is not None and header["vocab_hash"] != expected_vocab_hash:
         raise DataError(
             f"{path}: model was trained against a different vocabulary "
@@ -414,5 +448,8 @@ def load_model(
     params = ModelParams(
         w.reshape(n_classes, n_features).copy(), b.copy(), header["vocab_hash"]
     )
-    hp = HyperParams(**header["hyperparams"])
+    try:
+        hp = HyperParams(**header["hyperparams"])
+    except TypeError:
+        raise DataError(f"{path}: model header has bad hyperparams")
     return params, hp, header

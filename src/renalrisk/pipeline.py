@@ -527,6 +527,9 @@ def _run_triggers(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) ->
 
 
 def _class_from_bits(bits: tuple[int, ...]) -> int:
+    n = trig_mod.DEFAULT_HORIZONS.n_classes
+    if len(bits) != n or bits.count(1) != 1 or bits.count(0) != n - 1:
+        raise DataError(f"bad one-hot label {bits!r}")
     return bits.index(1)
 
 

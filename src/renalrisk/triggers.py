@@ -23,8 +23,8 @@ from datetime import date, timedelta
 from enum import Enum
 from typing import IO, Iterable, Iterator, Sequence
 
-from .claims import ClaimTimeline, CodeSet, CodeSetLibrary, first_occurrence
-from .errors import ConfigError, DataError
+from .claims import ClaimTimeline, CodeSet, CodeSetLibrary, _iter_lines, first_occurrences
+from .errors import ConfigError, DataError, ParseError
 
 TASKS = ("rrt", "dialysis", "transplant")
 
@@ -98,16 +98,23 @@ class _TimelineFacts:
     first_by_task: dict[str, int | None]
 
 
+def _ordinal(day: date | None) -> int | None:
+    return None if day is None else day.toordinal()
+
+
 def _facts(timeline: ClaimTimeline, library: CodeSetLibrary) -> _TimelineFacts:
-    ordinals = tuple(c.service_date.toordinal() for c in timeline.claims)
-    fo = {task: first_occurrence(timeline, library.task_codeset(task)) for task in TASKS}
-    ckd = first_occurrence(timeline, library.ckd)
+    ckd, dialysis, transplant = first_occurrences(
+        timeline, (library.ckd, library.dialysis, library.transplant)
+    )
+    # the rrt code set is the union of the dialysis and transplant sets
+    rrt = min((d for d in (dialysis, transplant) if d is not None), default=None)
+    firsts = {"rrt": rrt, "dialysis": dialysis, "transplant": transplant}
     return _TimelineFacts(
         birth_year=timeline.beneficiary.birth_year,
-        claim_ordinals=ordinals,
-        first_ckd=ckd.toordinal() if ckd else None,
-        first_rrt=fo["rrt"].toordinal() if fo["rrt"] else None,
-        first_by_task={k: (v.toordinal() if v else None) for k, v in fo.items()},
+        claim_ordinals=tuple(c.service_date.toordinal() for c in timeline.claims),
+        first_ckd=_ordinal(ckd),
+        first_rrt=_ordinal(rrt),
+        first_by_task={task: _ordinal(firsts[task]) for task in TASKS},
     )
 
 
@@ -247,30 +254,74 @@ def trigger_row(trigger: Trigger) -> str:
     )
 
 
-def parse_trigger_row(line: str) -> Trigger:
+def _one_hot_labels(n_classes: int) -> dict[str, tuple[int, ...]]:
+    labels = (tuple(int(i == cls) for i in range(n_classes)) for cls in range(n_classes))
+    return {"".join(map(str, label)): label for label in labels}
+
+
+# Each valid label bit string and its one-hot tuple, shared by every row that has it.
+_ONE_HOT_LABELS = _one_hot_labels(DEFAULT_HORIZONS.n_classes)
+
+
+def _row_error(line_no: int | None, message: str) -> DataError:
+    return DataError(message) if line_no is None else ParseError(line_no, message)
+
+
+def _parse_reasons(raw: str, line_no: int | None) -> frozenset[IneligibilityReason]:
+    try:
+        return frozenset(IneligibilityReason(name) for name in raw.split(",") if name)
+    except ValueError:
+        raise _row_error(line_no, f"unknown ineligibility reason in {raw!r}")
+
+
+def _parse_trigger(
+    line: str,
+    line_no: int | None,
+    dates: dict[str, date],
+    reason_sets: dict[str, frozenset[IneligibilityReason]],
+) -> Trigger:
+    """Parse one trigger row, interning dates and reason sets in the read's tables."""
     fields = line.rstrip("\n").split("\t")
     if len(fields) != 4 + len(TASKS):
-        raise DataError(f"bad trigger row: {line!r}")
+        raise _row_error(line_no, f"bad trigger row: {line!r}")
     bid, date_raw, eligible_raw, reasons_raw = fields[:4]
+    if not bid:
+        raise _row_error(line_no, "trigger row with empty beneficiary_id")
+    if date_raw not in dates:
+        try:
+            dates[date_raw] = date.fromisoformat(date_raw)
+        except ValueError:
+            raise _row_error(line_no, f"bad trigger_date {date_raw!r} (expected YYYY-MM-DD)")
+    if eligible_raw not in ("0", "1"):
+        raise _row_error(line_no, f"bad eligible flag {eligible_raw!r} (expected 0 or 1)")
+    if reasons_raw not in reason_sets:
+        reason_sets[reasons_raw] = _parse_reasons(reasons_raw, line_no)
     eligible = eligible_raw == "1"
-    reasons = frozenset(
-        IneligibilityReason(r) for r in reasons_raw.split(",") if r
-    )
     labels = None
     if eligible:
         labels = {}
         for task, bits in zip(TASKS, fields[4:]):
-            labels[task] = tuple(int(b) for b in bits)
-    return Trigger(bid, date.fromisoformat(date_raw), eligible, reasons, labels)
+            label = _ONE_HOT_LABELS.get(bits)
+            if label is None:
+                raise _row_error(
+                    line_no, f"bad {task} label {bits!r} (expected a one-hot bit string)"
+                )
+            labels[task] = label
+    return Trigger(bid, dates[date_raw], eligible, reason_sets[reasons_raw], labels)
+
+
+def parse_trigger_row(line: str) -> Trigger:
+    return _parse_trigger(line, None, {}, {})
 
 
 def iter_trigger_rows(source) -> Iterator[Trigger]:
-    from .claims import _iter_lines  # shared line handling
-
-    for line in _iter_lines(source):
+    """Parse a trigger table; malformed rows raise ParseError with their line number."""
+    dates: dict[str, date] = {}
+    reason_sets: dict[str, frozenset[IneligibilityReason]] = {}
+    for line_no, line in enumerate(_iter_lines(source), start=1):
         if not line.strip() or line.startswith("#"):
             continue
-        yield parse_trigger_row(line)
+        yield _parse_trigger(line, line_no, dates, reason_sets)
 
 
 def write_trigger_rows(triggers: Iterable[Trigger], handle: IO[str]) -> None:

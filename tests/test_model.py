@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import struct
 
 import mpmath
 import numpy as np
@@ -16,6 +18,7 @@ from renalrisk.model import (
     loss,
     loss_and_grad,
     predict_matrix,
+    read_model_header,
     save_model,
     train,
     tune,
@@ -375,3 +378,78 @@ def test_model_load_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOTAMODEL")
     with pytest.raises(DataError, match="magic"):
         load_model(path)
+
+
+def _saved_model(tmp_path):
+    params = ModelParams(np.zeros((C, 3)), np.zeros(C), vocab_hash="cafe")
+    path = tmp_path / "model.bin"
+    save_model(path, params, HyperParams(), task="rrt", lineage={"stage": "train"})
+    return path
+
+
+def _with_header(path, header: bytes) -> None:
+    data = path.read_bytes()
+    (length,) = struct.unpack("<I", data[8:12])
+    path.write_bytes(data[:8] + struct.pack("<I", len(header)) + header + data[12 + length :])
+
+
+def test_model_with_corrupted_header_bytes_is_a_data_error(tmp_path):
+    path = _saved_model(tmp_path)
+    data = bytearray(path.read_bytes())
+    data[20] ^= 0xFF  # inside the JSON header
+    path.write_bytes(bytes(data))
+    for read in (read_model_header, load_model):
+        with pytest.raises(DataError, match="not UTF-8 JSON"):
+            read(path)
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        (b'{"task": "rrt"', "not UTF-8 JSON"),
+        (b"[1, 2]", "not a JSON object"),
+        (b'{"task": "rrt"}', "lacks format_version"),
+    ],
+)
+def test_model_header_must_be_a_complete_json_object(tmp_path, header, message):
+    path = _saved_model(tmp_path)
+    _with_header(path, header)
+    for read in (read_model_header, load_model):
+        with pytest.raises(DataError, match=message):
+            read(path)
+
+
+def test_model_header_with_bad_shape_or_hyperparams_is_a_data_error(tmp_path):
+    path = _saved_model(tmp_path)
+    header = json.loads(_header_bytes(path))
+    for key, value, message in (
+        ("n_features", "3", "bad n_features"),
+        ("n_classes", -1, "bad n_classes"),
+        ("hyperparams", {"nope": 1}, "bad hyperparams"),
+    ):
+        _with_header(path, json.dumps({**header, key: value}).encode("utf-8"))
+        with pytest.raises(DataError, match=message):
+            load_model(path)
+        _with_header(path, json.dumps(header).encode("utf-8"))
+    load_model(path)
+
+
+def _header_bytes(path) -> bytes:
+    data = path.read_bytes()
+    (length,) = struct.unpack("<I", data[8:12])
+    return data[12 : 12 + length]
+
+
+def test_model_load_refuses_truncated_or_trailing_bytes(tmp_path):
+    path = _saved_model(tmp_path)
+    data = path.read_bytes()
+    path.write_bytes(data + b"\0")
+    with pytest.raises(DataError, match="trailing bytes"):
+        load_model(path)
+    path.write_bytes(data[:-1])
+    with pytest.raises(DataError, match="truncated model payload"):
+        load_model(path)
+    for cut in (10, 40):
+        path.write_bytes(data[:cut])
+        with pytest.raises(DataError, match="truncated model header"):
+            read_model_header(path)

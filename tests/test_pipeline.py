@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -134,6 +135,49 @@ def test_stale_upstream_refused(completed_run, capsys):
         assert "stale" in capsys.readouterr().err
     finally:
         paths["model_rrt"].write_bytes(original)
+
+
+def _copy_of_run(completed_run, tmp_path):
+    """A private copy of the completed run's work directory and its config."""
+    _, cfg_path = completed_run
+    raw = json.loads(cfg_path.read_text())
+    workdir = tmp_path / "copy"
+    shutil.copytree(raw["workdir"], workdir)
+    raw["workdir"] = str(workdir)
+    path = tmp_path / "copy.json"
+    path.write_text(json.dumps(raw))
+    return workdir, path
+
+
+def test_featurize_refuses_a_malformed_trigger_row(completed_run, tmp_path, capsys):
+    workdir, cfg_path = _copy_of_run(completed_run, tmp_path)
+    triggers = workdir / "triggers.tsv"
+    lines = triggers.read_text().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.split("\t")[2:3] == ["1"])
+    fields = lines[at].split("\t")
+    fields[1] = "2013-13-01"
+    lines[at] = "\t".join(fields)
+    triggers.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["featurize", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {at + 1}: bad trigger_date '2013-13-01'")
+    assert "Traceback" not in err
+    assert not list(workdir.glob("*.tmp"))
+
+
+def test_predict_refuses_a_model_with_a_corrupted_header(completed_run, tmp_path, capsys):
+    workdir, cfg_path = _copy_of_run(completed_run, tmp_path)
+    model = workdir / "model_rrt.bin"
+    blob = bytearray(model.read_bytes())
+    blob[20] ^= 0xFF  # inside the JSON header
+    model.write_bytes(bytes(blob))
+    assert read_artifact_lineage(model) is None
+    capsys.readouterr()
+    assert main(["predict", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "stale" in err and "Traceback" not in err
+    assert not list(workdir.glob("*.tmp"))
 
 
 def test_seed_override_changes_artifacts(completed_run, tmp_path, capsys):

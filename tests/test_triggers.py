@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renalrisk.claims import default_codeset_library, first_occurrence
-from renalrisk.errors import ConfigError
+from renalrisk.errors import ConfigError, DataError, ParseError
 from renalrisk.triggers import (
     DEFAULT_HORIZONS,
     IneligibilityReason as R,
     check_eligibility,
     enumerate_triggers,
+    iter_trigger_rows,
     label_trigger,
     month_firsts,
     parse_trigger_row,
@@ -280,3 +281,38 @@ def test_no_eligible_trigger_at_or_after_first_rrt():
     for trig in enumerate_triggers(tl, RANGE, LIB, DATASET_END):
         if trig.eligible:
             assert trig.trigger_date < onset
+
+
+# -- malformed rows -------------------------------------------------------------
+
+_GOOD_ROW = "b1\t2013-06-01\t1\t\t000001\t010000\t000001"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("b1\t2013-13-01\t1\t\t000001\t010000\t000001", "trigger_date"),
+        ("b1\t2013-06-01\t0\tunder_65,too_young\t-\t-\t-", "ineligibility reason"),
+        ("b1\t2013-06-01\tyes\t\t000001\t010000\t000001", "eligible flag"),
+        ("b1\t2013-06-01\t1\t\t00001\t010000\t000001", "rrt label"),
+        ("b1\t2013-06-01\t1\t\t000001\t011000\t000001", "dialysis label"),
+        ("b1\t2013-06-01\t1\t\t000001\t010000\t-", "transplant label"),
+        ("b1\t2013-06-01\t1\t\t000001\t010000\t00000x", "transplant label"),
+        ("\t2013-06-01\t1\t\t000001\t010000\t000001", "beneficiary_id"),
+        ("b1\t2013-06-01\t1\t\t000001\t010000", "bad trigger row"),
+    ],
+)
+def test_malformed_trigger_row_is_a_data_error(row, message):
+    with pytest.raises(DataError, match=message):
+        parse_trigger_row(row)
+    with pytest.raises(ParseError, match=f"line 2: .*{message}"):
+        list(iter_trigger_rows(["#! {}", row, _GOOD_ROW]))
+
+
+def test_class_from_bits_refuses_a_non_one_hot_label():
+    from renalrisk.pipeline import _class_from_bits
+
+    assert _class_from_bits((0, 1, 0, 0, 0, 0)) == 1
+    for bits in ((0, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0), (0, 1), (0, 2, 0, 0, 0, 1)):
+        with pytest.raises(DataError, match="one-hot"):
+            _class_from_bits(bits)
