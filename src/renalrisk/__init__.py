@@ -15,8 +15,8 @@ from .claims import (
     write_claims,
 )
 from .errors import ConfigError, DataError, NumericError, ParseError, RenalRiskError
-from .features import FeatureVector, Vocabulary, featurize
-from .model import HyperParams, ModelParams, PredictionVector, forward, train, tune
+from .features import Vocabulary
+from .model import HyperParams, ModelParams, predict_matrix, train, tune
 from .synth import SynthConfig, generate
 from .triggers import (
     Horizons,

@@ -17,16 +17,15 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
 
-from .claims import ClaimTimeline, CodedItem, CodeSystem, Race, Sex
-from .errors import DataError
-from .triggers import TASKS
+from .claims import ClaimTimeline, CodedItem, CodeSystem, Race, Sex, _iter_lines
+from .errors import DataError, ParseError
+from .triggers import DEFAULT_HORIZONS, TASKS
 
 BUCKET_EDGES = (30, 90, 365, 3650)
 N_BUCKETS = len(BUCKET_EDGES)
@@ -39,13 +38,6 @@ def age_bucket(age: int) -> str:
     if age < 65:
         raise DataError(f"age {age} below the eligible population (>= 65)")
     return AGE_BUCKET_LABELS[bisect_right(_AGE_EDGES, age)]
-
-
-def day_bucket(offset: int) -> int | None:
-    """Bucket index for a day offset >= 1, or None when out of range."""
-    if offset < 1 or offset >= BUCKET_EDGES[-1]:
-        return None
-    return bisect_right(BUCKET_EDGES, offset)
 
 
 def sex_key(sex: Sex) -> str:
@@ -64,39 +56,11 @@ def coded_key(system: CodeSystem, code: str, bucket: int) -> str:
     return f"code/{system.value}/{code}/b{bucket}"
 
 
-def demographic_keys(timeline: ClaimTimeline, t: date) -> tuple[str, str, str]:
-    bene = timeline.beneficiary
-    return (
-        sex_key(bene.sex),
-        race_key(bene.race),
-        age_key(age_bucket(t.year - bene.birth_year)),
-    )
-
-
-def collect_active_keys(timeline: ClaimTimeline, t: date) -> set[str]:
-    """All feature keys active at trigger date t, before any vocabulary filter."""
-    keys = set(demographic_keys(timeline, t))
-    t_ord = t.toordinal()
-    for claim in timeline.claims:
-        bucket = day_bucket(t_ord - claim.service_date.toordinal())
-        if bucket is None:
-            continue
-        for item in claim.items:
-            keys.add(coded_key(item.system, item.code, bucket))
-    return keys
-
-
 def _all_demographic_keys() -> list[str]:
     keys = [sex_key(s) for s in Sex]
     keys += [race_key(r) for r in Race]
     keys += [age_key(label) for label in AGE_BUCKET_LABELS]
     return keys
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    indices: tuple[int, ...]
-    n_features: int
 
 
 class Vocabulary:
@@ -116,77 +80,34 @@ class Vocabulary:
     def keys(self) -> list[str]:
         return list(self._keys)
 
+    def lines(self) -> Iterator[str]:
+        """The canonical `key TAB index` lines, in index order: the body of vocab.tsv."""
+        for key, idx in self.index.items():
+            yield f"{key}\t{idx}\n"
+
     def content_hash(self) -> str:
         """Hash of the canonical key/index lines; binds models to this vocabulary."""
         digest = hashlib.sha256()
-        for key, idx in self.index.items():
-            digest.update(f"{key}\t{idx}\n".encode("utf-8"))
+        for line in self.lines():
+            digest.update(line.encode("utf-8"))
         return digest.hexdigest()
 
     @classmethod
-    def build(
-        cls,
-        training: Iterable[tuple[ClaimTimeline, Iterable[date]]],
-        min_count: int = 1,
-    ) -> "Vocabulary":
-        """Collect coded keys over training triggers; seed all demographic values.
-
-        min_count is the minimum number of training triggers a coded key must
-        appear in to earn a column.
-        """
-        counts: dict[str, int] = {}
-        n_triggers = 0
-        for timeline, dates in training:
-            for t in dates:
-                n_triggers += 1
-                for key in collect_active_keys(timeline, t):
-                    if key.startswith("code/"):
-                        counts[key] = counts.get(key, 0) + 1
-        if n_triggers == 0:
-            raise DataError("cannot build a vocabulary from an empty training set")
-        keys = _all_demographic_keys()
-        keys.extend(k for k, c in counts.items() if c >= min_count)
-        return cls(keys)
-
-    def to_file(self, sink: Union[str, Path, IO[str]], header: str | None = None) -> None:
-        def _write(handle: IO[str]) -> None:
-            if header:
-                handle.write(header)
-            for key in self._keys:
-                handle.write(f"{key}\t{self.index[key]}\n")
-
-        if isinstance(sink, (str, Path)):
-            with open(sink, "w", encoding="utf-8") as handle:
-                _write(handle)
-        else:
-            _write(sink)
-
-    @classmethod
     def from_file(cls, source: Union[str, Path, IO[str]]) -> "Vocabulary":
-        from .claims import _iter_lines
-
         pairs = []
-        for line in _iter_lines(source):
+        for line_no, line in enumerate(_iter_lines(source), start=1):
             if not line.strip() or line.startswith("#"):
                 continue
             key, _, idx = line.rstrip("\n").rpartition("\t")
+            if not key or not idx.isdecimal():
+                raise ParseError(
+                    line_no, f"bad vocabulary line {line[:80]!r} (expected key TAB index)"
+                )
             pairs.append((key, int(idx)))
-        pairs.sort(key=lambda p: p[1])
-        vocab = cls.__new__(cls)
-        vocab._keys = [k for k, _ in pairs]
-        vocab.index = {k: i for i, (k, j) in enumerate(pairs)}
-        for key, idx in pairs:
-            if vocab.index[key] != idx:
-                raise DataError(f"vocabulary file has non-dense indices near {key!r}")
+        vocab = cls(key for key, _ in pairs)
+        if list(vocab.index.items()) != pairs:
+            raise DataError("vocabulary file is not its sorted keys with dense indices 0..n-1")
         return vocab
-
-
-def featurize(timeline: ClaimTimeline, t: date, vocab: Vocabulary) -> FeatureVector:
-    """Sparse binary vector of in-vocabulary keys active at trigger date t."""
-    indices = sorted(
-        vocab.index[key] for key in collect_active_keys(timeline, t) if key in vocab
-    )
-    return FeatureVector(tuple(indices), len(vocab))
 
 
 class ClaimInterner:
@@ -227,9 +148,9 @@ class ClaimInterner:
 class CompiledTimeline:
     """One timeline flattened to arrays for repeated trigger featurization.
 
-    Yields exactly the same active keys as collect_active_keys(), but each
-    trigger costs a few searchsorted calls over precomputed arrays instead of
-    a Python scan over all claims.
+    Yields exactly the same active keys as the reference featurizer in
+    tests/reference.py, but each trigger costs a few searchsorted calls over
+    precomputed arrays instead of a Python scan over all claims.
     """
 
     __slots__ = ("sex", "race", "birth_year", "days", "item_ids", "claim_ptr")
@@ -285,7 +206,7 @@ class CompiledTimeline:
 def pair_bucket_key(interner: ClaimInterner, pair_bucket: int) -> str:
     pid, b = divmod(pair_bucket, N_BUCKETS)
     system, code = interner.pairs[pid]
-    return f"code/{system}/{code}/b{b}"
+    return coded_key(CodeSystem(system), code, b)
 
 
 def vocabulary_from_counts(
@@ -293,7 +214,8 @@ def vocabulary_from_counts(
 ) -> Vocabulary:
     """Vocabulary from per-trigger pair-bucket occurrence counts.
 
-    Equivalent to Vocabulary.build over the same training triggers.
+    Equivalent to the reference build_vocabulary() in tests/reference.py over
+    the same training triggers.
     """
     keys = _all_demographic_keys()
     keys.extend(
@@ -305,9 +227,10 @@ def vocabulary_from_counts(
 def column_map(vocab: Vocabulary, interner: ClaimInterner) -> np.ndarray:
     """Flat (pair_id * N_BUCKETS + bucket) -> vocab column map; -1 when absent."""
     out = np.full(len(interner) * N_BUCKETS, -1, dtype=np.int32)
-    for pid, (system, code) in enumerate(interner.pairs):
+    for pid, (name, code) in enumerate(interner.pairs):
+        system = CodeSystem(name)
         for b in range(N_BUCKETS):
-            col = vocab.index.get(f"code/{system}/{code}/b{b}")
+            col = vocab.index.get(coded_key(system, code, b))
             if col is not None:
                 out[pid * N_BUCKETS + b] = col
     return out
@@ -359,14 +282,11 @@ class FeatureMatrix:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def row(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
 
 def feature_row(
-    beneficiary_id: str, trigger_date: str, classes: dict[str, int], indices
+    beneficiary_id: str, trigger_date: str, classes: dict[str, int], indices: np.ndarray
 ) -> str:
-    cols = ",".join(str(int(i)) for i in indices)
+    cols = ",".join(map(str, indices.tolist()))
     return "\t".join(
         [beneficiary_id, trigger_date]
         + [str(classes[task]) for task in TASKS]
@@ -374,30 +294,58 @@ def feature_row(
     )
 
 
-def iter_feature_rows(source) -> Iterator[tuple[str, str, dict[str, int], np.ndarray]]:
-    from .claims import _iter_lines
+# Each valid class column and its class index.
+_CLASSES = {str(c): c for c in range(DEFAULT_HORIZONS.n_classes)}
+_MAX_INDEX = np.iinfo(np.int32).max  # FeatureMatrix keeps indices as int32
 
-    for line in _iter_lines(source):
+
+def _parse_indices(raw: str, line_no: int) -> np.ndarray:
+    try:
+        indices = np.fromstring(raw, dtype=np.int64, sep=",") if raw else np.empty(0, np.int64)
+    except ValueError:
+        raise ParseError(line_no, f"bad feature index list {raw[:80]!r}")
+    if indices.size and not (
+        0 <= indices[0] and indices[-1] <= _MAX_INDEX and (indices[1:] > indices[:-1]).all()
+    ):
+        raise ParseError(
+            line_no, f"feature indices {raw[:80]!r} are not strictly increasing column indices"
+        )
+    return indices.astype(np.int32)
+
+
+def iter_feature_rows(source) -> Iterator[tuple[str, str, dict[str, int], np.ndarray]]:
+    """Parse a feature table; malformed rows raise ParseError with their line number."""
+    for line_no, line in enumerate(_iter_lines(source), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.rstrip("\n").split("\t")
         if len(fields) != 3 + len(TASKS):
-            raise DataError(f"bad feature row: {line[:80]!r}")
-        classes = {task: int(fields[2 + k]) for k, task in enumerate(TASKS)}
-        cols = fields[-1]
-        indices = (
-            np.fromstring(cols, dtype=np.int64, sep=",").astype(np.int32)
-            if cols
-            else np.empty(0, dtype=np.int32)
-        )
-        yield fields[0], fields[1], classes, indices
+            raise ParseError(line_no, f"bad feature row: {line[:80]!r}")
+        classes = {}
+        for task, raw in zip(TASKS, fields[2:-1]):
+            cls = _CLASSES.get(raw)
+            if cls is None:
+                raise ParseError(
+                    line_no, f"bad {task} class {raw!r} (expected 0..{len(_CLASSES) - 1})"
+                )
+            classes[task] = cls
+        yield fields[0], fields[1], classes, _parse_indices(fields[-1], line_no)
 
 
 def read_feature_matrix(
     source, n_features: int, vocab_hash: str | None = None
 ) -> FeatureMatrix:
+    """Read a feature table; every index must name one of the n_features columns."""
     matrix = FeatureMatrix(n_features, vocab_hash)
     for bid, tdate, classes, indices in iter_feature_rows(source):
         matrix.add_row(bid, tdate, classes, indices)
     matrix.finalize()
+    bad = np.flatnonzero((matrix.indices < 0) | (matrix.indices >= n_features))
+    if bad.size:
+        row = int(np.searchsorted(matrix.indptr, bad[0], side="right")) - 1
+        bid, tdate = matrix.ids[row]
+        raise DataError(
+            f"feature index {int(matrix.indices[bad[0]])} of the row for {bid} {tdate} "
+            f"is outside the {n_features} vocabulary columns"
+        )
     return matrix

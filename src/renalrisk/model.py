@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .features import FeatureMatrix, FeatureVector
+from .features import FeatureMatrix
 
 N_CLASSES = 6  # five disjoint windows + explicit negative class
 
@@ -75,67 +75,34 @@ class ModelParams:
         return self.weights.shape[1]
 
 
-@dataclass(frozen=True)
-class PredictionVector:
-    """Disjoint-window scores and their cumulative overlapping-horizon sums."""
+def _gather(
+    indices: np.ndarray, indptr: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzeros of the given CSR rows as one flat slab, and each row's bounds in it.
 
-    window_probs: tuple[float, ...]  # softmax over the n_classes outputs
-    horizon_probs: tuple[float, ...]  # cumulative sums, one per horizon
-
-
-def _check_vector(x: FeatureVector, params: ModelParams) -> None:
-    if x.n_features != params.n_features:
-        raise DataError(
-            f"feature dimension {x.n_features} does not match model {params.n_features}"
-        )
-
-
-def forward(x: FeatureVector, params: ModelParams, vocab_hash: str | None = None) -> PredictionVector:
-    """Score a single sparse binary input."""
-    _check_vector(x, params)
-    if vocab_hash is not None and params.vocab_hash is not None and vocab_hash != params.vocab_hash:
-        raise DataError("vocabulary hash does not match the model's vocabulary")
-    idx = np.asarray(x.indices, dtype=np.int64)
-    logits = params.bias + (params.weights[:, idx].sum(axis=1) if idx.size else 0.0)
-    z = np.exp(logits - logits.max())
-    s = z / z.sum()
-    p = np.minimum(np.cumsum(s[:-1]), 1.0)
-    assert abs(float(s.sum()) - 1.0) <= 1e-9
-    assert np.all(np.diff(p) >= 0.0) and p[-1] <= 1.0
-    return PredictionVector(tuple(float(v) for v in s), tuple(float(v) for v in p))
+    Row k owns flat[bounds[k]:bounds[k + 1]], its nonzeros in stored order.
+    """
+    starts = indptr[rows]
+    sizes = indptr[rows + 1] - starts
+    bounds = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
+    # slab position p of row k reads indices[starts[k] + p - bounds[k]]
+    offsets = np.repeat(starts - bounds[:-1], sizes)
+    return indices[offsets + np.arange(bounds[-1])], bounds
 
 
 def _batch_logits(
-    weights: np.ndarray,
-    bias: np.ndarray,
-    indices: np.ndarray,
-    indptr: np.ndarray,
-    rows: np.ndarray,
+    weights: np.ndarray, bias: np.ndarray, flat: np.ndarray, bounds: np.ndarray
 ) -> np.ndarray:
-    """Logits for a batch of sparse binary rows, shape (n_classes, len(rows)).
+    """Logits for a gathered batch of sparse binary rows, shape (n_classes, n_rows).
 
-    Row nonzeros are gathered into one flat slab; per-row sums come from a
-    cumulative-sum difference so empty rows are handled exactly.
+    Per-row sums come from a cumulative-sum difference over the slab, so
+    empty rows are handled exactly.
     """
-    starts = indptr[rows]
-    ends = indptr[rows + 1]
-    sizes = ends - starts
-    total = int(sizes.sum())
-    if total == 0:
-        return np.broadcast_to(bias[:, None], (bias.size, rows.size)).copy()
-    flat = np.empty(total, dtype=np.int64)
-    pos = 0
-    bounds = np.empty(rows.size + 1, dtype=np.int64)
-    bounds[0] = 0
-    for k in range(rows.size):
-        n = sizes[k]
-        if n:
-            flat[pos : pos + n] = indices[starts[k] : ends[k]]
-        pos += n
-        bounds[k + 1] = pos
-    gathered = weights[:, flat]
+    if flat.size == 0:
+        return np.broadcast_to(bias[:, None], (bias.size, bounds.size - 1)).copy()
     csum = np.concatenate(
-        [np.zeros((weights.shape[0], 1)), np.cumsum(gathered, axis=1)], axis=1
+        [np.zeros((weights.shape[0], 1)), np.cumsum(weights[:, flat], axis=1)], axis=1
     )
     return csum[:, bounds[1:]] - csum[:, bounds[:-1]] + bias[:, None]
 
@@ -161,9 +128,12 @@ def loss(
     """Mean cross-entropy over the batch plus the L1 weight penalty."""
     if rows is None:
         rows = np.arange(len(matrix), dtype=np.int64)
-    logits = _batch_logits(params.weights, params.bias, matrix.indices, matrix.indptr, rows)
+    flat, bounds = _gather(matrix.indices, matrix.indptr, rows)
+    logits = _batch_logits(params.weights, params.bias, flat, bounds)
     ce = -float(np.mean(_log_softmax_true(logits, y[rows])))
-    return ce + l1_coefficient * float(np.abs(params.weights).sum())
+    if l1_coefficient:
+        ce += l1_coefficient * float(np.abs(params.weights).sum())
+    return ce
 
 
 def loss_and_grad(
@@ -174,7 +144,8 @@ def loss_and_grad(
     rows: np.ndarray,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Unpenalized batch cross-entropy and its analytic gradient."""
-    logits = _batch_logits(weights, bias, matrix.indices, matrix.indptr, rows)
+    flat, bounds = _gather(matrix.indices, matrix.indptr, rows)
+    logits = _batch_logits(weights, bias, flat, bounds)
     yb = y[rows]
     ce = -float(np.mean(_log_softmax_true(logits, yb)))
     g = _softmax_columns(logits)
@@ -182,23 +153,10 @@ def loss_and_grad(
     g /= rows.size
     grad_b = g.sum(axis=1)
     grad_w = np.zeros_like(weights)
-    starts = matrix.indptr[rows]
-    ends = matrix.indptr[rows + 1]
-    sizes = (ends - starts).astype(np.int64)
-    total = int(sizes.sum())
-    if total:
-        flat = np.empty(total, dtype=np.int64)
-        pos = 0
-        for k in range(rows.size):
-            n = sizes[k]
-            if n:
-                flat[pos : pos + n] = matrix.indices[starts[k] : ends[k]]
-            pos += n
-        expand = np.repeat(np.arange(rows.size), sizes)
+    if flat.size:
+        expand = np.repeat(np.arange(rows.size), np.diff(bounds))
         for c in range(weights.shape[0]):
-            grad_w[c] = np.bincount(
-                flat, weights=g[c, expand], minlength=weights.shape[1]
-            )
+            grad_w[c] = np.bincount(flat, weights=g[c, expand], minlength=weights.shape[1])
     return ce, grad_w, grad_b
 
 
@@ -225,11 +183,9 @@ class TrainResult:
 
 def validation_loss(params: ModelParams, matrix: FeatureMatrix, y: np.ndarray) -> float:
     """Unpenalized cross-entropy used for model selection and early stopping."""
-    rows = np.arange(len(matrix), dtype=np.int64)
-    if rows.size == 0:
+    if len(matrix) == 0:
         raise DataError("validation set is empty")
-    logits = _batch_logits(params.weights, params.bias, matrix.indices, matrix.indptr, rows)
-    return -float(np.mean(_log_softmax_true(logits, y)))
+    return loss(params, matrix, y)
 
 
 def train(
@@ -297,19 +253,6 @@ def train(
     )
 
 
-def _hp_sort_key(hp: HyperParams):
-    rest = (
-        hp.initial_learning_rate,
-        hp.decay_rate,
-        hp.decay_steps,
-        hp.batch_size,
-        hp.max_epochs,
-        hp.patience,
-        hp.seed,
-    )
-    return (hp.l1_coefficient,) + rest
-
-
 def tune(
     grid: Sequence[HyperParams],
     train_matrix: FeatureMatrix,
@@ -326,7 +269,7 @@ def tune(
     """
     if not grid:
         raise ConfigError("hyperparameter grid is empty")
-    unique = sorted(set(grid), key=_hp_sort_key)
+    unique = sorted(set(grid), key=astuple)  # l1_coefficient is the first field
     best: tuple[HyperParams, TrainResult] | None = None
     evaluated = []
     for hp in unique:
@@ -350,7 +293,8 @@ def predict_matrix(params: ModelParams, matrix: FeatureMatrix, batch: int = 4096
     s_out = np.empty((n, params.n_classes))
     for lo in range(0, n, batch):
         rows = np.arange(lo, min(lo + batch, n), dtype=np.int64)
-        logits = _batch_logits(params.weights, params.bias, matrix.indices, matrix.indptr, rows)
+        flat, bounds = _gather(matrix.indices, matrix.indptr, rows)
+        logits = _batch_logits(params.weights, params.bias, flat, bounds)
         s_out[lo : lo + rows.size] = _softmax_columns(logits).T
     p_out = np.minimum(np.cumsum(s_out[:, :-1], axis=1), 1.0)
     return s_out, p_out

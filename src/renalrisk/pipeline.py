@@ -10,7 +10,8 @@ with a lineage line
 A stage is up to date when all its outputs exist and their lineage equals the
 lineage recomputed from the current config and input files; rerunning it is
 then a no-op. Stages refuse to run on missing or stale upstream artifacts.
-Outputs are written to a temp file and renamed into place.
+Outputs are written to a temp file and renamed into place; a failed write
+deletes its temp file.
 """
 
 from __future__ import annotations
@@ -19,10 +20,12 @@ import hashlib
 import json
 import os
 import time
+from collections import Counter
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, replace
 from datetime import date
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -32,7 +35,7 @@ from . import features as feat_mod
 from . import model as model_mod
 from . import synth as synth_mod
 from . import triggers as trig_mod
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ParseError
 from .triggers import TASKS
 
 
@@ -271,16 +274,34 @@ def read_artifact_lineage(path: Path) -> dict | None:
     return read_text_lineage(path)
 
 
+@contextmanager
+def atomic_output(path: Path) -> Iterator[Path]:
+    """Yield a temp path beside path; rename it into place on success, delete it on error."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _open_text_artifact(stack: ExitStack, path: Path, lineage: dict):
+    """An atomic text output on the stack, its lineage line already written."""
+    tmp = stack.enter_context(atomic_output(path))
+    handle = stack.enter_context(open(tmp, "w", encoding="utf-8"))
+    handle.write(LINEAGE_PREFIX + _canonical(lineage) + "\n")
+    return handle
+
+
 def write_text_artifact(path: Path, lineage: dict, body: Iterable[str]) -> None:
     """Write lineage line plus body lines atomically (temp file + rename)."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(LINEAGE_PREFIX + _canonical(lineage) + "\n")
+    with ExitStack() as stack:
+        handle = _open_text_artifact(stack, path, lineage)
         for line in body:
             handle.write(line)
             if not line.endswith("\n"):
                 handle.write("\n")
-    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------
@@ -488,17 +509,10 @@ def _check_upstream(cfg: PipelineConfig, stage: str, cache: _HashCache) -> None:
 
 def _run_synth(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -> None:
     assert cfg.synth is not None
-    claims_tmp = paths["claims"].with_name(paths["claims"].name + ".tmp")
-    truth_tmp = paths["ground_truth"].with_name(paths["ground_truth"].name + ".tmp")
-    header = LINEAGE_PREFIX + _canonical(lineage) + "\n"
-    with open(claims_tmp, "w", encoding="utf-8") as ch, open(
-        truth_tmp, "w", encoding="utf-8"
-    ) as th:
-        ch.write(header)
-        th.write(header)
+    with ExitStack() as stack:
+        ch = _open_text_artifact(stack, paths["claims"], lineage)
+        th = _open_text_artifact(stack, paths["ground_truth"], lineage)
         summary = synth_mod.generate(cfg.synth, ch, th, workers=cfg.workers)
-    os.replace(claims_tmp, paths["claims"])
-    os.replace(truth_tmp, paths["ground_truth"])
     print(
         f"synth: {summary.n_beneficiaries} beneficiaries, {summary.n_claims} claims, "
         f"{summary.n_dialysis} dialysis / {summary.n_transplant} transplant onsets, "
@@ -571,7 +585,7 @@ def _run_featurize(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -
         if bid in triggers_by_bid:
             compiled[bid] = feat_mod.CompiledTimeline(timeline, interner)
 
-    counts: dict[int, int] = {}
+    counts: Counter[int] = Counter()
     n_train_triggers = 0
     for bid, trigs in triggers_by_bid.items():
         if bid not in train_ids:
@@ -579,31 +593,20 @@ def _run_featurize(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -
         ct = compiled[bid]
         for tdate, _ in trigs:
             n_train_triggers += 1
-            for pb in ct.active_pair_buckets(date.fromisoformat(tdate)):
-                pb = int(pb)
-                counts[pb] = counts.get(pb, 0) + 1
+            counts.update(ct.active_pair_buckets(date.fromisoformat(tdate)).tolist())
     if n_train_triggers == 0:
         raise DataError("featurize: no eligible training triggers to build a vocabulary from")
     vocab = feat_mod.vocabulary_from_counts(counts, interner, cfg.min_count)
     vocab_hash = vocab.content_hash()
-    write_text_artifact(
-        paths["vocab"],
-        lineage,
-        (f"{key}\t{vocab.index[key]}" for key in vocab.keys()),
-    )
+    write_text_artifact(paths["vocab"], lineage, vocab.lines())
     colmap = feat_mod.column_map(vocab, interner)
 
-    handles = {}
-    tmp_names = {}
-    for split in ("train", "valid", "test"):
-        path = paths[f"features_{split}"]
-        tmp = path.with_name(path.name + ".tmp")
-        tmp_names[split] = (tmp, path)
-        handles[split] = open(tmp, "w", encoding="utf-8")
-        handles[split].write(LINEAGE_PREFIX + _canonical(lineage) + "\n")
-        handles[split].write(f"# vocab={vocab_hash}\n")
     n_rows = {"train": 0, "valid": 0, "test": 0}
-    try:
+    with ExitStack() as stack:
+        handles = {}
+        for split in n_rows:
+            handles[split] = _open_text_artifact(stack, paths[f"features_{split}"], lineage)
+            handles[split].write(f"# vocab={vocab_hash}\n")
         for bid in sorted(triggers_by_bid):
             split = split_of(bid)
             ct = compiled[bid]
@@ -612,11 +615,6 @@ def _run_featurize(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -
                 indices = ct.active_indices(date.fromisoformat(tdate), vocab, colmap)
                 out.write(feat_mod.feature_row(bid, tdate, classes, indices) + "\n")
                 n_rows[split] += 1
-    finally:
-        for handle in handles.values():
-            handle.close()
-    for split, (tmp, path) in tmp_names.items():
-        os.replace(tmp, path)
     print(
         f"featurize: vocab {len(vocab)} columns; rows "
         f"train={n_rows['train']} valid={n_rows['valid']} test={n_rows['test']}"
@@ -662,10 +660,8 @@ def _run_train(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path], only_
             result = model_mod.train(
                 train_matrix, y_train, valid_matrix, y_valid, hp, vocab_hash=vocab_hash
             )
-        model_path = paths[f"model_{task}"]
-        tmp = model_path.with_name(model_path.name + ".tmp")
-        model_mod.save_model(tmp, result.params, hp, task, lineage)
-        os.replace(tmp, model_path)
+        with atomic_output(paths[f"model_{task}"]) as tmp:
+            model_mod.save_model(tmp, result.params, hp, task, lineage)
         log_lines = ["epoch\tstep\tlearning_rate\ttrain_loss\tvalid_loss"]
         log_lines += [
             f"{s.epoch}\t{s.steps}\t{s.learning_rate!r}\t{s.train_loss!r}\t{s.valid_loss!r}"
@@ -701,17 +697,28 @@ def _run_predict(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path], onl
 
 
 def read_predictions(path: Path) -> tuple[list[tuple[str, str]], np.ndarray, np.ndarray]:
+    """Ids, window scores and horizon probabilities; a malformed row is a ParseError."""
+    n_classes = trig_mod.DEFAULT_HORIZONS.n_classes
     ids = []
     s_rows = []
     p_rows = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for line_no, line in enumerate(handle, start=1):
             if line.startswith("#") or not line.strip():
                 continue
-            bid, tdate, s_txt, p_txt = line.rstrip("\n").split("\t")
+            try:
+                bid, tdate, s_txt, p_txt = line.rstrip("\n").split("\t")
+                s_rows.append([float(v) for v in s_txt.split(",")])
+                p_rows.append([float(v) for v in p_txt.split(",")])
+                if len(s_rows[-1]) != n_classes or len(p_rows[-1]) != n_classes - 1:
+                    raise ValueError
+            except ValueError:
+                raise ParseError(
+                    line_no,
+                    f"bad prediction row {line[:80]!r} (expected id, date, {n_classes} "
+                    f"window scores and {n_classes - 1} horizon probabilities)",
+                )
             ids.append((bid, tdate))
-            s_rows.append([float(v) for v in s_txt.split(",")])
-            p_rows.append([float(v) for v in p_txt.split(",")])
     return ids, np.asarray(s_rows), np.asarray(p_rows)
 
 
@@ -795,9 +802,8 @@ def _run_evaluate(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path], on
         "impact": impact_rows,
         "lineage": lineage,
     }
-    tmp = paths["report_json"].with_name(paths["report_json"].name + ".tmp")
-    tmp.write_text(json.dumps(report, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-    os.replace(tmp, paths["report_json"])
+    with atomic_output(paths["report_json"]) as tmp:
+        tmp.write_text(json.dumps(report, sort_keys=True, indent=1) + "\n", encoding="utf-8")
     text = eval_mod.render_report_text(report)
     write_text_artifact(paths["report_text"], lineage, [text])
     print(text)

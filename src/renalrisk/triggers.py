@@ -21,7 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date, timedelta
 from enum import Enum
-from typing import IO, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .claims import ClaimTimeline, CodeSet, CodeSetLibrary, _iter_lines, first_occurrences
 from .errors import ConfigError, DataError, ParseError
@@ -322,8 +322,3 @@ def iter_trigger_rows(source) -> Iterator[Trigger]:
         if not line.strip() or line.startswith("#"):
             continue
         yield _parse_trigger(line, line_no, dates, reason_sets)
-
-
-def write_trigger_rows(triggers: Iterable[Trigger], handle: IO[str]) -> None:
-    for trig in triggers:
-        handle.write(trigger_row(trig) + "\n")

@@ -16,8 +16,8 @@ import pytest
 
 from renalrisk.claims import default_codeset_library, iter_timelines
 from renalrisk.evaluation import gmean_operating_point, roc_auc
-from renalrisk.features import FeatureVector, Vocabulary, featurize
-from renalrisk.model import ModelParams, forward, loss_and_grad
+from renalrisk.features import ClaimInterner, CompiledTimeline, column_map, vocabulary_from_counts
+from renalrisk.model import ModelParams, loss_and_grad, predict_matrix
 from renalrisk.pipeline import (
     STAGE_ORDER,
     artifact_paths,
@@ -29,7 +29,7 @@ from renalrisk.triggers import enumerate_triggers, label_trigger
 
 from conftest import make_beneficiary, make_claim, monthly_claims, timeline_with
 from test_evaluation import brute_force_roc_auc
-from test_model import numeric_gradient, rand_problem, C
+from test_model import C, make_matrix, numeric_gradient, rand_problem
 from test_triggers import brute_force_label
 
 LIB = default_codeset_library()
@@ -53,10 +53,9 @@ def test_criterion_1_monotone_probability_property():
         w = rng.normal(scale=scale, size=(C, n_features))
         b = rng.normal(scale=4.0, size=C)
         k = int(rng.integers(0, min(10, n_features) + 1))
-        idx = tuple(sorted(rng.choice(n_features, size=k, replace=False).tolist()))
-        pv = forward(FeatureVector(idx, n_features), ModelParams(w, b))
-        s = np.asarray(pv.window_probs)
-        p = np.asarray(pv.horizon_probs)
+        idx = sorted(rng.choice(n_features, size=k, replace=False).tolist())
+        s, p = predict_matrix(ModelParams(w, b), make_matrix([idx], [0], n_features))
+        s, p = s[0], p[0]
         ok = (
             abs(float(s.sum()) - 1.0) <= 1e-9
             and np.all(np.diff(p) >= 0.0)
@@ -175,8 +174,11 @@ def test_criterion_5_no_future_leakage():
             for _ in range(int(rng.integers(0, 6)))
         ]
         tl = timeline_with(make_beneficiary("b1"), *history)
-        vocab = Vocabulary.build([(tl, [t])])
-        base = featurize(tl, t, vocab)
+        interner = ClaimInterner()
+        compiled = CompiledTimeline(tl, interner)
+        counts = {int(pb): 1 for pb in compiled.active_pair_buckets(t)}
+        vocab = vocabulary_from_counts(counts, interner)
+        base = compiled.active_indices(t, vocab, column_map(vocab, interner))
         injected = [
             make_claim(
                 "b1",
@@ -186,7 +188,9 @@ def test_criterion_5_no_future_leakage():
             for _ in range(int(rng.integers(1, 4)))
         ]
         tl_plus = timeline_with(make_beneficiary("b1"), *(history + injected))
-        if featurize(tl_plus, t, vocab) != base:
+        compiled_plus = CompiledTimeline(tl_plus, interner)
+        plus = compiled_plus.active_indices(t, vocab, column_map(vocab, interner))
+        if not np.array_equal(plus, base):
             violations += 1
     record(5, violations == 0, f"future-claim injection: {violations} violations in 10000 trials")
 

@@ -1,3 +1,6 @@
+import json
+import re
+from collections import Counter
 from datetime import date, timedelta
 
 import pytest
@@ -5,21 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renalrisk.claims import Race, Sex
-from renalrisk.errors import DataError
+from renalrisk.errors import DataError, ParseError
 from renalrisk.features import (
     AGE_BUCKET_LABELS,
+    N_BUCKETS,
     ClaimInterner,
     CompiledTimeline,
     Vocabulary,
     age_bucket,
-    collect_active_keys,
     column_map,
-    day_bucket,
-    featurize,
+    iter_feature_rows,
+    read_feature_matrix,
     vocabulary_from_counts,
 )
+from renalrisk.pipeline import load_pipeline_config, run_stage
 
 from conftest import make_beneficiary, make_claim, timeline_with
+from reference import build_vocabulary, featurize
 
 T = date(2014, 1, 1)
 
@@ -28,11 +33,42 @@ def _tl(*claims, bene=None):
     return timeline_with(bene or make_beneficiary(), *claims)
 
 
+def _build_vocabulary(training, min_count=1):
+    """The featurize stage's vocabulary: pair-bucket counts over compiled timelines."""
+    interner = ClaimInterner()
+    counts = Counter()
+    for timeline, dates in training:
+        compiled = CompiledTimeline(timeline, interner)
+        for t in dates:
+            counts.update(compiled.active_pair_buckets(t).tolist())
+    return vocabulary_from_counts(counts, interner, min_count)
+
+
 def _vocab_for(timeline, t=T):
-    return Vocabulary.build([(timeline, [t])])
+    return _build_vocabulary([(timeline, [t])])
+
+
+def _features(timeline, vocab, t=T):
+    """The column indices the featurize stage writes for timeline at t."""
+    interner = ClaimInterner()
+    compiled = CompiledTimeline(timeline, interner)
+    return tuple(compiled.active_indices(t, vocab, column_map(vocab, interner)).tolist())
+
+
+def _active_keys(timeline, t=T):
+    """Every key active at t: with a vocabulary built on t itself, none is dropped."""
+    vocab = _vocab_for(timeline, t)
+    keys = vocab.keys()
+    return {keys[i] for i in _features(timeline, vocab, t)}
 
 
 def test_day_bucket_boundaries():
+    def day_bucket(offset):
+        tl = _tl(make_claim("b1", T - timedelta(days=offset), [("CPT", "1")]))
+        buckets = CompiledTimeline(tl, ClaimInterner()).active_pair_buckets(T)
+        assert buckets.size <= 1
+        return int(buckets[0]) % N_BUCKETS if buckets.size else None
+
     assert day_bucket(0) is None  # claim on the trigger day is excluded
     assert day_bucket(1) == 0
     assert day_bucket(29) == 0
@@ -49,9 +85,9 @@ def test_bucket_membership_shifts_at_30_days():
     code = ("ICD10_DX", "E042")
     tl_29 = _tl(make_claim("b1", T - timedelta(days=29), [code]))
     tl_30 = _tl(make_claim("b1", T - timedelta(days=30), [code]))
-    assert "code/ICD10_DX/E042/b0" in collect_active_keys(tl_29, T)
-    assert "code/ICD10_DX/E042/b1" in collect_active_keys(tl_30, T)
-    assert "code/ICD10_DX/E042/b0" not in collect_active_keys(tl_30, T)
+    assert "code/ICD10_DX/E042/b0" in _active_keys(tl_29)
+    assert "code/ICD10_DX/E042/b1" in _active_keys(tl_30)
+    assert "code/ICD10_DX/E042/b0" not in _active_keys(tl_30)
 
 
 def test_age_buckets():
@@ -68,7 +104,7 @@ def test_age_buckets():
 
 def test_age_67_activates_first_bucket():
     tl = _tl(bene=make_beneficiary(birth_year=1947))  # 67 at 2014 trigger
-    keys = collect_active_keys(tl, T)
+    keys = _active_keys(tl)
     assert "dem/age=65-74" in keys
 
 
@@ -82,14 +118,32 @@ def test_vocabulary_seeds_demographic_value_sets():
 
 def test_vocabulary_deterministic():
     tl = _tl(make_claim("b1", T - timedelta(days=5), [("ICD10_DX", "N183")]))
-    a = Vocabulary.build([(tl, [T])])
-    b = Vocabulary.build([(tl, [T])])
+    a = _build_vocabulary([(tl, [T])])
+    b = _build_vocabulary([(tl, [T])])
     assert a.index == b.index and a.content_hash() == b.content_hash()
 
 
-def test_vocabulary_empty_training_set_errors():
-    with pytest.raises(DataError, match="empty training set"):
-        Vocabulary.build([])
+def test_vocabulary_empty_training_set_errors(tmp_path):
+    workdir = tmp_path / "work"
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "workdir": str(workdir),
+                "seed": 5,
+                "synth": {"n_beneficiaries": 60, "target_365d_prevalence": 0.05},
+                "trigger_range": ["2012-01-01", "2015-12-01"],
+                "split": {"ratios": [0.0, 0.5, 0.5]},
+            }
+        )
+    )
+    cfg = load_pipeline_config(config)
+    for stage in ("synth", "triggers"):
+        run_stage(cfg, stage)
+    with pytest.raises(DataError, match="no eligible training triggers"):
+        run_stage(cfg, "featurize")
+    assert not (workdir / "vocab.tsv").exists()
+    assert not list(workdir.glob("*.tmp"))
 
 
 def test_min_count_cutoff_drops_rare_coded_keys():
@@ -99,7 +153,7 @@ def test_min_count_cutoff_drops_rare_coded_keys():
         bene2,
         make_claim("b2", T - timedelta(days=5), [("CPT", "11111"), ("CPT", "22222")]),
     )
-    vocab = Vocabulary.build([(tl1, [T]), (tl2, [T])], min_count=2)
+    vocab = _build_vocabulary([(tl1, [T]), (tl2, [T])], min_count=2)
     assert "code/CPT/11111/b0" in vocab
     assert "code/CPT/22222/b0" not in vocab
 
@@ -110,8 +164,8 @@ def test_out_of_vocabulary_codes_dropped():
     tl_test = _tl(
         make_claim("b1", T - timedelta(days=5), [("CPT", "99999"), ("CPT", "11111")])
     )
-    fv = featurize(tl_test, T, vocab)
-    keys = {k for k, i in vocab.index.items() if i in fv.indices}
+    indices = _features(tl_test, vocab)
+    keys = {k for k, i in vocab.index.items() if i in indices}
     assert "code/CPT/11111/b0" in keys
     assert all("99999" not in k for k in keys)
 
@@ -122,11 +176,11 @@ def test_feature_vector_sorted_and_demographics_present():
         make_claim("b1", T - timedelta(days=100), [("CPT", "11111")]),
     )
     vocab = _vocab_for(tl)
-    fv = featurize(tl, T, vocab)
-    assert list(fv.indices) == sorted(set(fv.indices))
-    assert fv.n_features == len(vocab)
+    indices = _features(tl, vocab)
+    assert list(indices) == sorted(set(indices))
+    assert all(0 <= i < len(vocab) for i in indices)
     dem_active = [
-        k for k, i in vocab.index.items() if i in fv.indices and k.startswith("dem/")
+        k for k, i in vocab.index.items() if i in indices and k.startswith("dem/")
     ]
     assert len(dem_active) == 3
 
@@ -136,7 +190,7 @@ def test_binary_presence_ignores_multiplicity():
     tl_many = _tl(*[make_claim("b1", T - timedelta(days=d), code) for d in (3, 7, 12, 20, 25)])
     tl_once = _tl(make_claim("b1", T - timedelta(days=3), code))
     vocab = _vocab_for(tl_many)
-    assert featurize(tl_many, T, vocab) == featurize(tl_once, T, vocab)
+    assert _features(tl_many, vocab) == _features(tl_once, vocab)
 
 
 def test_featurize_invariant_to_claim_order():
@@ -147,7 +201,7 @@ def test_featurize_invariant_to_claim_order():
     tl_fwd = _tl(*claims)
     tl_rev = _tl(*reversed(claims))
     vocab = _vocab_for(tl_fwd)
-    assert featurize(tl_fwd, T, vocab) == featurize(tl_rev, T, vocab)
+    assert _features(tl_fwd, vocab) == _features(tl_rev, vocab)
 
 
 def test_claims_at_or_after_trigger_never_contribute():
@@ -158,7 +212,7 @@ def test_claims_at_or_after_trigger_never_contribute():
         make_claim("b1", T + timedelta(days=3), [("CPT", "8")]),
     ]
     tl_leaky = _tl(*(tl_base.claims + future))
-    assert featurize(tl_base, T, vocab) == featurize(tl_leaky, T, vocab)
+    assert _features(tl_base, vocab) == _features(tl_leaky, vocab)
 
 
 _offsets = st.integers(min_value=-400, max_value=4000)
@@ -180,7 +234,7 @@ def test_future_claim_injection_never_changes_features(history, future):
         make_claim("b1", T + timedelta(days=-off), [("CPT", c)]) for off, c in future
     ]
     tl_plus = _tl(*(base_claims + injected))
-    assert featurize(tl, T, vocab) == featurize(tl_plus, T, vocab)
+    assert _features(tl, vocab) == _features(tl_plus, vocab)
 
 
 @given(
@@ -198,12 +252,8 @@ def test_compiled_path_matches_reference_featurize(events, age):
         for off, c, system in events
     ]
     tl = timeline_with(bene, *claims)
-    vocab = Vocabulary.build([(tl, [T])])
-    interner = ClaimInterner()
-    compiled = CompiledTimeline(tl, interner)
-    colmap = column_map(vocab, interner)
-    fast = tuple(int(i) for i in compiled.active_indices(T, vocab, colmap))
-    assert fast == featurize(tl, T, vocab).indices
+    vocab = build_vocabulary([(tl, [T])])
+    assert _features(tl, vocab) == featurize(tl, T, vocab)
 
 
 def test_vocabulary_file_round_trip(tmp_path):
@@ -212,7 +262,7 @@ def test_vocabulary_file_round_trip(tmp_path):
     )
     vocab = _vocab_for(tl)
     path = tmp_path / "vocab.tsv"
-    vocab.to_file(path)
+    path.write_text("#! {}\n" + "".join(vocab.lines()))
     again = Vocabulary.from_file(path)
     assert again.index == vocab.index
     assert again.content_hash() == vocab.content_hash()
@@ -224,11 +274,49 @@ def test_vocabulary_from_counts_matches_reference_build():
         make_beneficiary("b2"),
         make_claim("b2", T - timedelta(days=45), [("CPT", "1")]),
     )
-    reference = Vocabulary.build([(tl1, [T]), (tl2, [T])], min_count=1)
-    interner = ClaimInterner()
-    counts = {}
-    for tl in (tl1, tl2):
-        ct = CompiledTimeline(tl, interner)
-        for pb in ct.active_pair_buckets(T):
-            counts[int(pb)] = counts.get(int(pb), 0) + 1
-    assert vocabulary_from_counts(counts, interner, 1).index == reference.index
+    reference = build_vocabulary([(tl1, [T]), (tl2, [T])], min_count=1)
+    assert _build_vocabulary([(tl1, [T]), (tl2, [T])]).index == reference.index
+
+
+def test_vocabulary_file_refuses_a_malformed_line():
+    good = "dem/sex=female\t0\n"
+    for bad in ("no tab here\n", "dem/race=white\tx\n", "\t1\n", "dem/race=white\t-1\n"):
+        with pytest.raises(ParseError, match="^line 3: bad vocabulary line"):
+            Vocabulary.from_file(["#! {}\n", good, bad])
+    for lines in (["b\t0\n", "a\t1\n"], ["a\t0\n", "b\t2\n"], ["a\t0\n", "a\t1\n"]):
+        with pytest.raises(DataError, match="sorted keys with dense indices"):
+            Vocabulary.from_file(lines)
+
+
+def _feature_line(classes="0\t1\t5", indices="1,4,7"):
+    return f"b1\t2014-01-01\t{classes}\t{indices}\n"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (_feature_line(classes="X\t1\t5"), "bad rrt class 'X'"),
+        (_feature_line(classes="0\t6\t5"), "bad dialysis class '6'"),
+        (_feature_line(classes="0\t1\t-1"), "bad transplant class '-1'"),
+        (_feature_line(indices="1,x,3"), "bad feature index list '1,x,3'"),
+        (_feature_line(indices="4,1"), "not strictly increasing"),
+        (_feature_line(indices="1,1"), "not strictly increasing"),
+        (_feature_line(indices="-1,2"), "not strictly increasing"),
+        (_feature_line(indices="1,4294967297"), "not strictly increasing"),
+        ("b1\t2014-01-01\t0\t1\n", "bad feature row"),
+    ],
+    ids=["letter", "class 6", "class -1", "letter index", "decreasing", "repeated", "negative",
+         "beyond int32", "short row"],
+)
+def test_feature_rows_refuse_bad_classes_and_indices(line, message):
+    with pytest.raises(ParseError, match=f"^line 3: .*{re.escape(message)}"):
+        list(iter_feature_rows(["#! {}\n", _feature_line(), line]))
+
+
+@pytest.mark.parametrize("indices", ["0,10", "10", "3,11"])
+def test_feature_matrix_refuses_indices_outside_the_vocabulary(indices):
+    lines = [_feature_line(indices="0,2"), _feature_line(indices=indices)]
+    with pytest.raises(DataError, match="outside the 10 vocabulary columns"):
+        read_feature_matrix(lines + [_feature_line(indices="")], 10)
+    matrix = read_feature_matrix([_feature_line(indices="0,9"), _feature_line(indices="")], 10)
+    assert matrix.indices.tolist() == [0, 9] and matrix.indptr.tolist() == [0, 2, 2]

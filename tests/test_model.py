@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renalrisk.errors import DataError, NumericError
-from renalrisk.features import FeatureMatrix, FeatureVector
+from renalrisk.features import FeatureMatrix
 from renalrisk.model import (
     HyperParams,
     ModelParams,
-    forward,
+    _gather,
     load_model,
     loss,
     loss_and_grad,
@@ -48,46 +48,52 @@ def rand_problem(rng, n_rows, n_features):
     return make_matrix(rows, labels, n_features)
 
 
-# -- forward ------------------------------------------------------------------
+def predict_row(params, indices, n_features):
+    """Window scores and horizon probabilities of one sparse row, via predict_matrix."""
+    s, p = predict_matrix(params, make_matrix([indices], [0], n_features))
+    return s[0], p[0]
+
+
+# -- forward pass --------------------------------------------------------------
 
 
 def test_forward_uniform_when_zero_params():
     params = ModelParams(np.zeros((C, 4)), np.zeros(C))
-    pv = forward(FeatureVector((0, 2), 4), params)
-    assert np.allclose(pv.window_probs, [1 / 6] * 6)
-    assert np.allclose(pv.horizon_probs, [1 / 6, 2 / 6, 3 / 6, 4 / 6, 5 / 6])
+    s, p = predict_row(params, [0, 2], 4)
+    assert np.allclose(s, [1 / 6] * 6)
+    assert np.allclose(p, [1 / 6, 2 / 6, 3 / 6, 4 / 6, 5 / 6])
 
 
 def test_cumulative_sums_from_window_scores():
-    s = np.array([0.1, 0.2, 0.05, 0.05, 0.1, 0.5])
-    logits = np.log(s)
-    params = ModelParams(np.zeros((C, 1)), logits)
-    pv = forward(FeatureVector((), 1), params)
-    assert np.allclose(pv.window_probs, s, atol=1e-12)
-    assert np.allclose(pv.horizon_probs, [0.1, 0.3, 0.35, 0.4, 0.5], atol=1e-12)
+    scores = np.array([0.1, 0.2, 0.05, 0.05, 0.1, 0.5])
+    params = ModelParams(np.zeros((C, 1)), np.log(scores))
+    s, p = predict_row(params, [], 1)
+    assert np.allclose(s, scores, atol=1e-12)
+    assert np.allclose(p, [0.1, 0.3, 0.35, 0.4, 0.5], atol=1e-12)
 
 
 def test_logit_shift_invariance():
     rng = np.random.default_rng(0)
     w = rng.normal(size=(C, 5))
     b = rng.normal(size=C)
-    x = FeatureVector((1, 3), 5)
-    base = forward(x, ModelParams(w, b))
-    shifted = forward(x, ModelParams(w, b + 137.0))
-    assert np.allclose(base.window_probs, shifted.window_probs, atol=1e-12)
-    assert np.allclose(base.horizon_probs, shifted.horizon_probs, atol=1e-12)
+    base = predict_row(ModelParams(w, b), [1, 3], 5)
+    shifted = predict_row(ModelParams(w, b + 137.0), [1, 3], 5)
+    assert np.allclose(base[0], shifted[0], atol=1e-12)
+    assert np.allclose(base[1], shifted[1], atol=1e-12)
 
 
 def test_forward_dimension_mismatch_rejected():
     params = ModelParams(np.zeros((C, 4)), np.zeros(C))
-    with pytest.raises(DataError, match="dimension"):
-        forward(FeatureVector((0,), 5), params)
+    with pytest.raises(DataError, match="width does not match"):
+        predict_row(params, [0], 5)
 
 
 def test_forward_vocab_hash_mismatch_rejected():
     params = ModelParams(np.zeros((C, 4)), np.zeros(C), vocab_hash="aaa")
-    with pytest.raises(DataError, match="vocabulary"):
-        forward(FeatureVector((0,), 4), params, vocab_hash="bbb")
+    matrix = make_matrix([[0]], [0], 4)
+    matrix.vocab_hash = "bbb"
+    with pytest.raises(DataError, match="different vocabulary"):
+        predict_matrix(params, matrix)
 
 
 @given(st.data())
@@ -98,12 +104,34 @@ def test_horizon_probs_always_monotone_and_scores_normalized(data):
     w = rng.normal(scale=data.draw(st.floats(0.1, 20.0)), size=(C, n_features))
     b = rng.normal(scale=5.0, size=C)
     k = data.draw(st.integers(0, min(8, n_features)))
-    idx = tuple(sorted(rng.choice(n_features, size=k, replace=False).tolist()))
-    pv = forward(FeatureVector(idx, n_features), ModelParams(w, b))
-    s = np.asarray(pv.window_probs)
-    p = np.asarray(pv.horizon_probs)
+    idx = sorted(rng.choice(n_features, size=k, replace=False).tolist())
+    s, p = predict_row(ModelParams(w, b), idx, n_features)
     assert abs(s.sum() - 1.0) <= 1e-9
     assert np.all(np.diff(p) >= 0) and p[-1] <= 1.0
+
+
+# -- sparse gather -------------------------------------------------------------
+
+
+def reference_gather(indices, indptr, rows):
+    """Row-by-row copy of each row's nonzeros into one slab, with its bounds."""
+    flat, bounds = [], [0]
+    for r in rows:
+        flat.extend(indices[indptr[r] : indptr[r + 1]].tolist())
+        bounds.append(len(flat))
+    return flat, bounds
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_gather_matches_row_by_row_copy(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    matrix = rand_problem(rng, data.draw(st.integers(0, 40)), data.draw(st.integers(1, 30)))
+    n = len(matrix)
+    rows = rng.permutation(n)[: data.draw(st.integers(0, n))].astype(np.int64)
+    flat, bounds = _gather(matrix.indices, matrix.indptr, rows)
+    want_flat, want_bounds = reference_gather(matrix.indices, matrix.indptr, rows)
+    assert flat.tolist() == want_flat and bounds.tolist() == want_bounds
 
 
 # -- loss ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ from renalrisk.cli import main
 from renalrisk.errors import ConfigError
 from renalrisk.pipeline import (
     artifact_paths,
+    atomic_output,
     load_pipeline_config,
     read_artifact_lineage,
 )
@@ -178,6 +179,97 @@ def test_predict_refuses_a_model_with_a_corrupted_header(completed_run, tmp_path
     err = capsys.readouterr().err
     assert "stale" in err and "Traceback" not in err
     assert not list(workdir.glob("*.tmp"))
+
+
+def _set_field(path, field, value, row=0):
+    """Overwrite one tab-separated field of a data row of path; return its line number."""
+    lines = path.read_text().splitlines(keepends=True)
+    at = [i for i, line in enumerate(lines) if not line.startswith("#")][row]
+    fields = lines[at].rstrip("\n").split("\t")
+    fields[field] = value
+    lines[at] = "\t".join(fields) + "\n"
+    path.write_text("".join(lines))
+    return at + 1
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (2, "7", "bad rrt class '7'"),
+        (2, "-1", "bad rrt class '-1'"),
+        (3, "X", "bad dialysis class 'X'"),
+        (-1, "1,x,3", "bad feature index list '1,x,3'"),
+        (-1, "5,3", "feature indices '5,3' are not strictly increasing"),
+    ],
+)
+def test_train_refuses_a_malformed_feature_row(
+    completed_run, tmp_path, capsys, field, value, message
+):
+    workdir, cfg_path = _copy_of_run(completed_run, tmp_path)
+    line_no = _set_field(workdir / "features_train.tsv", field, value)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line_no}: {message}")
+    assert "Traceback" not in err
+    assert not list(workdir.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("outside", ["-1", "vocab size"])
+def test_predict_refuses_a_feature_index_outside_the_vocabulary(
+    completed_run, tmp_path, capsys, outside
+):
+    workdir, cfg_path = _copy_of_run(completed_run, tmp_path)
+    n_vocab = sum(1 for line in (workdir / "vocab.tsv").open() if not line.startswith("#"))
+    value = str(n_vocab) if outside == "vocab size" else outside
+    _set_field(workdir / "features_test.tsv", -1, value, row=1)
+    capsys.readouterr()
+    assert main(["predict", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if outside == "-1":
+        assert "not strictly increasing column indices" in err
+    else:
+        assert f"feature index {n_vocab} of the row for" in err
+        assert f"outside the {n_vocab} vocabulary columns" in err
+    assert not list(workdir.glob("*.tmp"))
+
+
+def test_evaluate_refuses_a_malformed_prediction_row(completed_run, tmp_path, capsys):
+    workdir, cfg_path = _copy_of_run(completed_run, tmp_path)
+    line_no = _set_field(workdir / "predictions_rrt.tsv", 2, "0.5,0.5")
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line_no}: bad prediction row")
+    assert "Traceback" not in err
+
+
+def test_failed_triggers_write_leaves_no_temp_file(completed_run, tmp_path, capsys):
+    workdir, cfg_path = _copy_of_run(completed_run, tmp_path)
+    claims = workdir / "claims.tsv"
+    rows = [line for line in claims.read_text().splitlines() if not line.startswith("#")]
+    last_claim = max(i for i, row in enumerate(rows) if row.startswith("C\t"))
+    _set_field(claims, 2, "2013-02-30", row=last_claim)  # after most rows are written
+    before = (workdir / "triggers.tsv").read_bytes()
+    capsys.readouterr()
+    assert main(["triggers", "--config", str(cfg_path)]) == 2
+    assert "2013-02-30" in capsys.readouterr().err
+    assert not list(workdir.glob("*.tmp"))
+    assert (workdir / "triggers.tsv").read_bytes() == before
+
+
+def test_atomic_output_replaces_on_success_and_cleans_up_on_error(tmp_path):
+    path = tmp_path / "artifact.txt"
+    path.write_text("old")
+    with pytest.raises(RuntimeError):
+        with atomic_output(path) as tmp:
+            tmp.write_text("partial")
+            raise RuntimeError("interrupted")
+    assert path.read_text() == "old" and not tmp.exists()
+    with atomic_output(path) as tmp:
+        tmp.write_text("new")
+    assert path.read_text() == "new" and not tmp.exists()
 
 
 def test_seed_override_changes_artifacts(completed_run, tmp_path, capsys):

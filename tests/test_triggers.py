@@ -8,6 +8,7 @@ from renalrisk.claims import default_codeset_library, first_occurrence
 from renalrisk.errors import ConfigError, DataError, ParseError
 from renalrisk.triggers import (
     DEFAULT_HORIZONS,
+    TASKS,
     IneligibilityReason as R,
     check_eligibility,
     enumerate_triggers,
@@ -212,6 +213,33 @@ def test_label_matches_brute_force_oracle(events, task):
     tl = timeline_with(make_beneficiary(bid), *claims)
     codeset = LIB.task_codeset(task)
     assert label_trigger(tl, t, codeset) == brute_force_label(tl, t, codeset)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=800),
+            st.sampled_from(["90951", "90960", "50360", "11111", "N183"]),
+        ),
+        max_size=6,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_enumerated_labels_match_brute_force_oracle(events):
+    """The labels the triggers stage writes, against the day-scan oracle."""
+    bid = "b1"
+    claims = monthly_claims(bid, date(2010, 12, 1), 25)  # eligible through 2012
+    claims.append(make_claim(bid, date(2011, 1, 5), [("ICD10_DX", "N183")]))
+    for offset, code in events:
+        system = "ICD10_DX" if code.startswith("N") else "CPT"
+        claims.append(make_claim(bid, date(2012, 1, 1) + timedelta(days=offset), [(system, code)]))
+    tl = timeline_with(make_beneficiary(bid), *claims)
+    triggers = enumerate_triggers(tl, (date(2012, 1, 1), date(2012, 12, 1)), LIB, DATASET_END)
+    for trig in triggers:
+        if trig.eligible:
+            for task in TASKS:
+                codeset = LIB.task_codeset(task)
+                assert trig.labels[task] == brute_force_label(tl, trig.trigger_date, codeset)
 
 
 # -- splits -------------------------------------------------------------------
