@@ -9,22 +9,18 @@ from .claims import (
     CodedItem,
     CodeSystem,
     default_codeset_library,
-    first_occurrence,
+    iter_timelines,
     load_codeset_library,
-    parse_claims,
-    write_claims,
 )
 from .errors import ConfigError, DataError, NumericError, ParseError, RenalRiskError
 from .features import Vocabulary
 from .model import HyperParams, ModelParams, predict_matrix, train, tune
 from .synth import SynthConfig, generate
 from .triggers import (
-    Horizons,
+    HORIZON_DAYS,
     IneligibilityReason,
     Trigger,
-    check_eligibility,
     enumerate_triggers,
-    label_trigger,
     split_beneficiaries,
 )
 

@@ -7,9 +7,9 @@ fields. Two record kinds are distinguished by a leading tag:
     C <TAB> beneficiary_id <TAB> service_date <TAB> claim_type <TAB> SYSTEM:code ...
 
 Dates are ISO-8601 (``YYYY-MM-DD``); ``death_date`` may be empty. A claim may
-carry zero or more ``SYSTEM:code`` items. A beneficiary record must appear
-before any of its claims. Blank lines and lines starting with ``#`` are
-ignored. The parser rejects unknown tags.
+carry zero or more ``SYSTEM:code`` items. Each beneficiary's claims directly
+follow its beneficiary record. Blank lines and lines starting with ``#`` are
+ignored. The reader (``iter_timelines``) rejects unknown tags.
 
 Each read interns its tokens: the first time a ``SYSTEM:code`` token, a
 service-date string or a claim type appears in a read, it is validated and
@@ -150,9 +150,6 @@ class CodeSet:
     def __contains__(self, item: CodedItem) -> bool:
         return (item.system, item.code) in self.codes
 
-    def union(self, other: "CodeSet", name: str) -> "CodeSet":
-        return CodeSet(name, self.codes | other.codes)
-
 
 # Shipped defaults. Clinical definitions are configuration, not code: any of
 # these can be overridden by a codesets JSON file (see load_codeset_library).
@@ -175,25 +172,12 @@ DEFAULT_CODESETS: dict[str, dict[str, list[str]]] = {
 
 @dataclass(frozen=True)
 class CodeSetLibrary:
-    """The four configured code sets plus the derived RRT union."""
+    """The four configured code sets; renal replacement (rrt) is dialysis or transplant."""
 
     ckd: CodeSet
     dialysis: CodeSet
     transplant: CodeSet
     access_creation: CodeSet
-
-    @property
-    def rrt(self) -> CodeSet:
-        return self.dialysis.union(self.transplant, "rrt")
-
-    def task_codeset(self, task: str) -> CodeSet:
-        if task == "rrt":
-            return self.rrt
-        if task == "dialysis":
-            return self.dialysis
-        if task == "transplant":
-            return self.transplant
-        raise ConfigError(f"unknown task {task!r}")
 
 
 def _codeset_from_mapping(name: str, mapping: dict[str, list[str]]) -> CodeSet:
@@ -235,15 +219,6 @@ def load_codeset_library(path: Union[str, Path, None]) -> CodeSetLibrary:
     return _library_from_dict(raw)
 
 
-def first_occurrence(timeline: ClaimTimeline, codeset: CodeSet) -> date | None:
-    """Earliest service date of any claim carrying a code from ``codeset``."""
-    for claim in timeline.claims:
-        for item in claim.items:
-            if item in codeset:
-                return claim.service_date
-    return None
-
-
 @lru_cache(maxsize=16)
 def _code_index(codesets: tuple[CodeSet, ...]) -> dict[str, tuple[tuple[CodeSystem, int], ...]]:
     """code -> (system, position in codesets) for every pair of every set; read-only."""
@@ -257,7 +232,10 @@ def _code_index(codesets: tuple[CodeSet, ...]) -> dict[str, tuple[tuple[CodeSyst
 def first_occurrences(
     timeline: ClaimTimeline, codesets: Sequence[CodeSet]
 ) -> list[date | None]:
-    """first_occurrence for each of several code sets, from one scan of the timeline."""
+    """Per code set, the earliest service date of a claim carrying one of its codes.
+
+    One scan of the timeline serves every set; None where no claim matches.
+    """
     index = _code_index(tuple(codesets))
     firsts: list[date | None] = [None] * len(codesets)
     pending = len(codesets)
@@ -368,11 +346,20 @@ def _parse_claim(
     return Claim(bid, dates[date_raw], types[type_raw], [items[token] for token in tokens])
 
 
-def _parse_records(source: LineSource) -> Iterator[tuple[int, Beneficiary | Claim]]:
+def iter_timelines(source: LineSource) -> Iterator[ClaimTimeline]:
+    """Stream one timeline per beneficiary from a claims file, in file order.
+
+    Each beneficiary's claims must directly follow its B record; a claim of an
+    earlier beneficiary is a ParseError, as are duplicate beneficiary records
+    and claims for an id with no beneficiary record. Beneficiaries without
+    claims get empty timelines.
+    """
     # intern tables for this read: raw string -> validated immutable value
     dates: dict[str, date] = {}
     types: dict[str, ClaimType] = {}
     items: dict[str, CodedItem] = {}
+    seen: set[str] = set()
+    current: ClaimTimeline | None = None
     for line_no, line in enumerate(_iter_lines(source), start=1):
         line = line.rstrip("\n")
         if not line or line.startswith("#"):
@@ -380,113 +367,28 @@ def _parse_records(source: LineSource) -> Iterator[tuple[int, Beneficiary | Clai
         fields = line.split("\t")
         tag = fields[0]
         if tag == "B":
-            yield line_no, _parse_beneficiary(fields, line_no)
-        elif tag == "C":
-            yield line_no, _parse_claim(fields, line_no, dates, types, items)
-        else:
-            raise ParseError(line_no, f"unknown record tag {tag!r}")
-
-
-def parse_claims(source: LineSource) -> dict[str, ClaimTimeline]:
-    """Parse a claims stream into one timeline per beneficiary.
-
-    Beneficiaries without claims are retained with empty timelines. Claims
-    for an id with no prior beneficiary record, and duplicate beneficiary
-    records, are errors.
-    """
-    timelines: dict[str, ClaimTimeline] = {}
-    for line_no, record in _parse_records(source):
-        if isinstance(record, Beneficiary):
-            if record.id in timelines:
-                raise ParseError(line_no, f"duplicate beneficiary record {record.id!r}")
-            timelines[record.id] = ClaimTimeline(record)
-        else:
-            timeline = timelines.get(record.beneficiary_id)
-            if timeline is None:
-                raise ParseError(
-                    line_no, f"claim references unknown beneficiary {record.beneficiary_id!r}"
-                )
-            timeline.claims.append(record)
-    for timeline in timelines.values():
-        timeline.sort()
-    return timelines
-
-
-def iter_timelines(source: LineSource) -> Iterator[ClaimTimeline]:
-    """Stream timelines from a file whose claims are grouped by beneficiary.
-
-    This is the constant-memory path used by the pipeline stages. It enforces
-    the same record-level contracts as parse_claims but requires each
-    beneficiary's claims to directly follow its B record.
-    """
-    seen: set[str] = set()
-    current: ClaimTimeline | None = None
-    for line_no, record in _parse_records(source):
-        if isinstance(record, Beneficiary):
-            if record.id in seen:
-                raise ParseError(line_no, f"duplicate beneficiary record {record.id!r}")
-            seen.add(record.id)
+            bene = _parse_beneficiary(fields, line_no)
+            if bene.id in seen:
+                raise ParseError(line_no, f"duplicate beneficiary record {bene.id!r}")
+            seen.add(bene.id)
             if current is not None:
                 current.sort()
                 yield current
-            current = ClaimTimeline(record)
-        else:
-            if current is None or record.beneficiary_id != current.beneficiary.id:
-                if record.beneficiary_id in seen:
-                    raise DataError(
-                        f"line {line_no}: claims not grouped by beneficiary; "
-                        "use parse_claims for interleaved input"
+            current = ClaimTimeline(bene)
+        elif tag == "C":
+            claim = _parse_claim(fields, line_no, dates, types, items)
+            bid = claim.beneficiary_id
+            if current is None or bid != current.beneficiary.id:
+                if bid in seen:
+                    raise ParseError(
+                        line_no,
+                        f"claim of beneficiary {bid!r} does not follow its beneficiary "
+                        "record (claims must be grouped by beneficiary)",
                     )
-                raise ParseError(
-                    line_no, f"claim references unknown beneficiary {record.beneficiary_id!r}"
-                )
-            current.claims.append(record)
+                raise ParseError(line_no, f"claim references unknown beneficiary {bid!r}")
+            current.claims.append(claim)
+        else:
+            raise ParseError(line_no, f"unknown record tag {tag!r}")
     if current is not None:
         current.sort()
         yield current
-
-
-def beneficiary_line(bene: Beneficiary) -> str:
-    death = bene.death_date.isoformat() if bene.death_date else ""
-    return "\t".join(
-        (
-            "B",
-            bene.id,
-            bene.sex.value,
-            bene.race.value,
-            str(bene.birth_year),
-            bene.enrollment_date.isoformat(),
-            death,
-        )
-    )
-
-
-def claim_line(claim: Claim) -> str:
-    fields = [
-        "C",
-        claim.beneficiary_id,
-        claim.service_date.isoformat(),
-        claim.claim_type.value,
-    ]
-    fields.extend(f"{item.system.value}:{item.code}" for item in claim.items)
-    return "\t".join(fields)
-
-
-def write_claims(timelines: dict[str, ClaimTimeline], sink: Union[str, Path, IO[str]]) -> None:
-    """Serialize timelines grouped by beneficiary, in beneficiary-id order.
-
-    parse_claims(write_claims(parse_claims(x))) reproduces the same dataset.
-    """
-
-    def _write(handle: IO[str]) -> None:
-        for bid in sorted(timelines):
-            timeline = timelines[bid]
-            handle.write(beneficiary_line(timeline.beneficiary) + "\n")
-            for claim in timeline.claims:
-                handle.write(claim_line(claim) + "\n")
-
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8") as handle:
-            _write(handle)
-    else:
-        _write(sink)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .claims import ClaimTimeline, CodeSet, first_occurrences
 from .errors import DataError
-from .triggers import TASKS, Horizons, DEFAULT_HORIZONS
+from .triggers import HORIZON_DAYS, TASKS
 
 
 @dataclass(frozen=True)
@@ -134,16 +134,14 @@ def threshold_at_sensitivity(scores, labels, target: float) -> OperatingPoint:
     raise AssertionError("sensitivity target unreachable")
 
 
-def prevalence_table(
-    labels_by_task: Mapping[str, np.ndarray], horizons: Horizons = DEFAULT_HORIZONS
-) -> dict[str, list[float]]:
+def prevalence_table(labels_by_task: Mapping[str, np.ndarray]) -> dict[str, list[float]]:
     """Per task, the fraction of triggers positive at each overlapping horizon.
 
     Input labels are disjoint class indices; horizon i is positive when the
     class falls in windows 0..i.
     """
     out = {}
-    n_windows = len(horizons.overlapping)
+    n_windows = len(HORIZON_DAYS)
     for task, classes in labels_by_task.items():
         c = np.asarray(classes, dtype=np.int64)
         if c.size == 0:
@@ -231,16 +229,14 @@ def impact_analysis(
 # Report assembly
 
 
-def horizon_metrics(
-    scores_by_horizon: np.ndarray, classes: np.ndarray, horizons: Horizons = DEFAULT_HORIZONS
-) -> list[dict]:
+def horizon_metrics(scores_by_horizon: np.ndarray, classes: np.ndarray) -> list[dict]:
     """ROC-AUC, PR-AUC, and the g-mean operating point per overlapping horizon.
 
     scores_by_horizon has one column per horizon (cumulative probabilities).
     Cells whose metric is undefined (single-class horizon) are reported null.
     """
     out = []
-    for i, horizon in enumerate(horizons.overlapping):
+    for i, horizon in enumerate(HORIZON_DAYS):
         y = (classes <= i).astype(np.int64)
         s = scores_by_horizon[:, i]
         cell: dict = {"horizon_days": horizon, "n": int(y.size), "n_pos": int(y.sum())}

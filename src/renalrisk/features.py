@@ -25,7 +25,7 @@ import numpy as np
 
 from .claims import ClaimTimeline, CodedItem, CodeSystem, Race, Sex, _iter_lines
 from .errors import DataError, ParseError
-from .triggers import DEFAULT_HORIZONS, TASKS
+from .triggers import N_CLASSES, TASKS
 
 BUCKET_EDGES = (30, 90, 365, 3650)
 N_BUCKETS = len(BUCKET_EDGES)
@@ -295,7 +295,7 @@ def feature_row(
 
 
 # Each valid class column and its class index.
-_CLASSES = {str(c): c for c in range(DEFAULT_HORIZONS.n_classes)}
+_CLASSES = {str(c): c for c in range(N_CLASSES)}
 _MAX_INDEX = np.iinfo(np.int32).max  # FeatureMatrix keeps indices as int32
 
 

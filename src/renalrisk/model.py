@@ -28,10 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, check_number_fields
 from .features import FeatureMatrix
-
-N_CLASSES = 6  # five disjoint windows + explicit negative class
+from .triggers import N_CLASSES
 
 MODEL_MAGIC = b"RNRKLM01"
 
@@ -48,6 +47,7 @@ class HyperParams:
     seed: int = 0
 
     def validate(self) -> None:
+        check_number_fields(self)
         if self.l1_coefficient < 0:
             raise ConfigError("l1_coefficient must be non-negative")
         if self.initial_learning_rate <= 0:
@@ -194,7 +194,6 @@ def train(
     valid_matrix: FeatureMatrix,
     y_valid: np.ndarray,
     hp: HyperParams,
-    n_classes: int = N_CLASSES,
     vocab_hash: str | None = None,
 ) -> TrainResult:
     """Mini-batch gradient descent with proximal L1 and early stopping.
@@ -207,8 +206,8 @@ def train(
     if len(train_matrix) == 0:
         raise DataError("training set is empty")
     n_features = train_matrix.n_features
-    weights = np.zeros((n_classes, n_features))
-    bias = np.zeros(n_classes)
+    weights = np.zeros((N_CLASSES, n_features))
+    bias = np.zeros(N_CLASSES)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(hp.seed)))
     n = len(train_matrix)
     step = 0
@@ -259,7 +258,6 @@ def tune(
     y_train: np.ndarray,
     valid_matrix: FeatureMatrix,
     y_valid: np.ndarray,
-    n_classes: int = N_CLASSES,
     vocab_hash: str | None = None,
 ) -> tuple[HyperParams, TrainResult, list[tuple[HyperParams, float]]]:
     """Exhaustive grid search minimizing validation cross-entropy.
@@ -273,9 +271,7 @@ def tune(
     best: tuple[HyperParams, TrainResult] | None = None
     evaluated = []
     for hp in unique:
-        result = train(
-            train_matrix, y_train, valid_matrix, y_valid, hp, n_classes, vocab_hash
-        )
+        result = train(train_matrix, y_train, valid_matrix, y_valid, hp, vocab_hash)
         evaluated.append((hp, result.best_valid_loss))
         if best is None or result.best_valid_loss < best[1].best_valid_loss:
             best = (hp, result)

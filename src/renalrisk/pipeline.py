@@ -35,7 +35,7 @@ from . import features as feat_mod
 from . import model as model_mod
 from . import synth as synth_mod
 from . import triggers as trig_mod
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, DataError, ParseError, is_number
 from .triggers import TASKS
 
 
@@ -69,7 +69,21 @@ def _parse_date_pair(raw, what: str) -> tuple[date, date]:
         raise ConfigError(f"{what} must be a [start, end] pair of ISO dates, got {raw!r}")
 
 
+def _object(raw, what: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {raw!r}")
+    return raw
+
+
+def _integer(raw, what: str) -> int:
+    try:
+        return int(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be an integer, got {raw!r}")
+
+
 def _hp_from_dict(raw: dict, default_seed: int) -> model_mod.HyperParams:
+    _object(raw, "train.hyperparams")
     known = set(model_mod.HyperParams.__dataclass_fields__)
     unknown = set(raw) - known
     if unknown:
@@ -115,12 +129,12 @@ def load_pipeline_config(
         raise ConfigError("config requires workdir")
     if "seed" not in raw:
         raise ConfigError("config requires a top-level seed")
-    seed = int(raw["seed"]) if seed_override is None else seed_override
+    seed = _integer(raw["seed"], "seed") if seed_override is None else seed_override
 
     synth_cfg = None
     claims_path = None
     if raw.get("synth"):
-        synth_raw = dict(raw["synth"])
+        synth_raw = dict(_object(raw["synth"], "synth"))
         synth_raw.setdefault("seed", seed)
         if seed_override is not None:
             synth_raw["seed"] = seed_override
@@ -140,20 +154,21 @@ def load_pipeline_config(
     if trigger_range[0] > trigger_range[1]:
         raise ConfigError("trigger_range start must not follow end")
 
-    split_raw = raw.get("split", {})
-    ratios = tuple(split_raw.get("ratios", (0.8, 0.1, 0.1)))
-    if len(ratios) != 3:
-        raise ConfigError("split.ratios must have three entries")
-    split_seed = int(split_raw.get("seed", seed + 1))
+    split_raw = _object(raw.get("split", {}), "split")
+    ratios = split_raw.get("ratios", (0.8, 0.1, 0.1))
+    numbers = isinstance(ratios, (list, tuple)) and all(map(is_number, ratios))
+    if not numbers or len(ratios) != 3:
+        raise ConfigError(f"split.ratios must be a list of three numbers, got {ratios!r}")
+    split_seed = _integer(split_raw.get("seed", seed + 1), "split.seed")
     if seed_override is not None:
         split_seed = seed_override + 1
 
-    feat_raw = raw.get("features", {})
-    min_count = int(feat_raw.get("min_count", 1))
+    feat_raw = _object(raw.get("features", {}), "features")
+    min_count = _integer(feat_raw.get("min_count", 1), "features.min_count")
     if min_count < 1:
         raise ConfigError("features.min_count must be >= 1")
 
-    train_raw = raw.get("train", {})
+    train_raw = _object(raw.get("train", {}), "train")
     tasks = tuple(train_raw.get("tasks", TASKS))
     for task in tasks:
         if task not in TASKS:
@@ -162,14 +177,20 @@ def load_pipeline_config(
     grid = None
     hp_seed = seed + 2 if seed_override is None else seed_override + 2
     if "grid" in train_raw:
+        if not isinstance(train_raw["grid"], list) or not train_raw["grid"]:
+            raise ConfigError("train.grid must be a non-empty list")
         grid = tuple(_hp_from_dict(g, hp_seed) for g in train_raw["grid"])
-        if not grid:
-            raise ConfigError("train.grid must not be empty")
     else:
         hp = _hp_from_dict(train_raw.get("hyperparams", {}), hp_seed)
 
-    eval_raw = raw.get("evaluate", {})
-    targets = tuple(float(t) for t in eval_raw.get("target_sensitivities", (0.6, 0.7, 0.8)))
+    eval_raw = _object(raw.get("evaluate", {}), "evaluate")
+    targets_raw = eval_raw.get("target_sensitivities", (0.6, 0.7, 0.8))
+    try:
+        targets = tuple(float(t) for t in targets_raw)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"evaluate.target_sensitivities must be a list of numbers, got {targets_raw!r}"
+        )
     for t in targets:
         if not (0 < t <= 1):
             raise ConfigError(f"target sensitivity {t} outside (0, 1]")
@@ -183,7 +204,7 @@ def load_pipeline_config(
         dataset_range=dataset_range,
         trigger_range=trigger_range,
         codesets_path=Path(codesets) if codesets else None,
-        split_ratios=ratios,  # type: ignore[arg-type]
+        split_ratios=tuple(ratios),  # type: ignore[arg-type]
         split_seed=split_seed,
         min_count=min_count,
         tasks=tasks,
@@ -540,13 +561,6 @@ def _run_triggers(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) ->
     write_text_artifact(paths["triggers"], lineage, rows())
 
 
-def _class_from_bits(bits: tuple[int, ...]) -> int:
-    n = trig_mod.DEFAULT_HORIZONS.n_classes
-    if len(bits) != n or bits.count(1) != 1 or bits.count(0) != n - 1:
-        raise DataError(f"bad one-hot label {bits!r}")
-    return bits.index(1)
-
-
 def _run_featurize(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -> None:
     # eligible trigger dates and labels per beneficiary
     triggers_by_bid: dict[str, list[tuple[str, dict[str, int]]]] = {}
@@ -558,13 +572,15 @@ def _run_featurize(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -
             last_bid = trig.beneficiary_id
         if not trig.eligible:
             continue
-        classes = {task: _class_from_bits(trig.labels[task]) for task in TASKS}
+        classes = {task: trig.labels[task].index(1) for task in TASKS}
         triggers_by_bid.setdefault(trig.beneficiary_id, []).append(
             (trig.trigger_date.isoformat(), classes)
         )
     train_ids, valid_ids, test_ids = trig_mod.split_beneficiaries(
         all_ids, cfg.split_ratios, cfg.split_seed
     )
+    if not any(bid in train_ids for bid in triggers_by_bid):
+        raise DataError("featurize: no eligible training triggers to build a vocabulary from")
 
     def split_of(bid: str) -> str:
         if bid in train_ids:
@@ -586,16 +602,12 @@ def _run_featurize(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -
             compiled[bid] = feat_mod.CompiledTimeline(timeline, interner)
 
     counts: Counter[int] = Counter()
-    n_train_triggers = 0
     for bid, trigs in triggers_by_bid.items():
         if bid not in train_ids:
             continue
         ct = compiled[bid]
         for tdate, _ in trigs:
-            n_train_triggers += 1
             counts.update(ct.active_pair_buckets(date.fromisoformat(tdate)).tolist())
-    if n_train_triggers == 0:
-        raise DataError("featurize: no eligible training triggers to build a vocabulary from")
     vocab = feat_mod.vocabulary_from_counts(counts, interner, cfg.min_count)
     vocab_hash = vocab.content_hash()
     write_text_artifact(paths["vocab"], lineage, vocab.lines())
@@ -698,7 +710,7 @@ def _run_predict(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path], onl
 
 def read_predictions(path: Path) -> tuple[list[tuple[str, str]], np.ndarray, np.ndarray]:
     """Ids, window scores and horizon probabilities; a malformed row is a ParseError."""
-    n_classes = trig_mod.DEFAULT_HORIZONS.n_classes
+    n_classes = trig_mod.N_CLASSES
     ids = []
     s_rows = []
     p_rows = []
@@ -722,19 +734,16 @@ def read_predictions(path: Path) -> tuple[list[tuple[str, str]], np.ndarray, np.
     return ids, np.asarray(s_rows), np.asarray(p_rows)
 
 
-def _run_evaluate(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path], only_task=None) -> None:
-    horizons = trig_mod.DEFAULT_HORIZONS
-    tasks = [t for t in cfg.tasks if (not only_task or t == only_task)]
-
+def _run_evaluate(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -> None:
     # prevalence over all eligible triggers
     all_classes: dict[str, list[int]] = {task: [] for task in TASKS}
     for trig in trig_mod.iter_trigger_rows(paths["triggers"]):
         if not trig.eligible:
             continue
         for task in TASKS:
-            all_classes[task].append(_class_from_bits(trig.labels[task]))
+            all_classes[task].append(trig.labels[task].index(1))
     prevalence = eval_mod.prevalence_table(
-        {task: np.asarray(v, dtype=np.int64) for task, v in all_classes.items()}, horizons
+        {task: np.asarray(v, dtype=np.int64) for task, v in all_classes.items()}
     )
 
     test_rows = list(feat_mod.iter_feature_rows(paths["features_test"]))
@@ -746,20 +755,20 @@ def _run_evaluate(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path], on
 
     performance = {}
     dialysis_scores = None
-    for task in tasks:
+    for task in cfg.tasks:
         ids, _, p = read_predictions(paths[f"predictions_{task}"])
         if ids != test_ids:
             raise DataError(
                 f"predictions_{task} rows do not line up with features_test "
                 "(stale artifact lineage?)"
             )
-        performance[task] = eval_mod.horizon_metrics(p, classes_by_task[task], horizons)
+        performance[task] = eval_mod.horizon_metrics(p, classes_by_task[task])
         if task == "dialysis":
             dialysis_scores = p[:, -1]
 
     impact_rows = None
     if dialysis_scores is not None and len(test_ids):
-        last_window = len(horizons.overlapping) - 1
+        last_window = len(trig_mod.HORIZON_DAYS) - 1
         positives = classes_by_task["dialysis"] <= last_window
         needed = {bid for (bid, _), pos in zip(test_ids, positives) if pos}
         library = cfg.library()
@@ -795,7 +804,7 @@ def _run_evaluate(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path], on
             impact_rows = None  # no dialysis positives in the test window
 
     report = {
-        "horizon_days": list(horizons.overlapping),
+        "horizon_days": list(trig_mod.HORIZON_DAYS),
         "n_test_triggers": len(test_ids),
         "prevalence": prevalence,
         "performance": performance,
@@ -832,13 +841,17 @@ def run_stage(cfg: PipelineConfig, stage: str, only_task: str | None = None) -> 
     cfg.workdir.mkdir(parents=True, exist_ok=True)
     cache = _HashCache()
     _check_upstream(cfg, stage, cache)
+    if stage == "evaluate" and only_task:
+        # A one-task report is stamped with its own task list, so a full
+        # evaluate sees it as stale and replaces it.
+        cfg = replace(cfg, tasks=tuple(t for t in cfg.tasks if t == only_task))
     lineage = expected_lineage(cfg, stage, cache)
     if stage_is_fresh(cfg, stage, cache):
         print(f"{stage}: up to date")
         return False
     paths = artifact_paths(cfg)
     body = _BODIES[stage]
-    if stage in ("train", "predict", "evaluate"):
+    if stage in ("train", "predict"):
         body(cfg, lineage, paths, only_task)
     else:
         body(cfg, lineage, paths)

@@ -31,7 +31,7 @@ from typing import IO, Mapping
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_number_fields
 from .claims import DEFAULT_CODESETS
 
 SEV_MAX = 18.0  # ceiling of the latent scale; coding saturates near 14
@@ -102,6 +102,7 @@ class SynthConfig:
     crash_fraction: float = 0.04  # share of CKD patients whose course collapses abruptly
 
     def validate(self) -> None:
+        check_number_fields(self)
         if self.n_beneficiaries < 1:
             raise ConfigError("n_beneficiaries must be >= 1")
         start, end = self.date_range
@@ -841,8 +842,14 @@ def config_from_dict(raw: Mapping, seed_override: int | None = None) -> SynthCon
     """Build a SynthConfig from parsed JSON, validating field names."""
     data = dict(raw)
     if "date_range" in data:
-        lo, hi = data["date_range"]
-        data["date_range"] = (date.fromisoformat(lo), date.fromisoformat(hi))
+        try:
+            lo, hi = data["date_range"]
+            data["date_range"] = (date.fromisoformat(lo), date.fromisoformat(hi))
+        except (TypeError, ValueError):
+            raise ConfigError(
+                "synth.date_range must be a [start, end] pair of ISO dates, "
+                f"got {raw['date_range']!r}"
+            )
     known = set(SynthConfig.__dataclass_fields__)
     unknown = set(data) - known
     if unknown:

@@ -11,7 +11,9 @@ when, at the trigger date ``t``, the beneficiary
 
 Eligible triggers get, per task, a one-hot label over five disjoint
 day-offset windows (0,30], (30,60], (60,90], (90,180], (180,365] plus an
-explicit no-event class; an event at offset 50 labels the second window.
+explicit no-event class; an event at offset 50 labels the second window. The
+task's event is its first claim coded from the task's code set (rrt: dialysis
+or transplant).
 """
 
 from __future__ import annotations
@@ -23,10 +25,18 @@ from datetime import date, timedelta
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
-from .claims import ClaimTimeline, CodeSet, CodeSetLibrary, _iter_lines, first_occurrences
-from .errors import ConfigError, DataError, ParseError
+from .claims import ClaimTimeline, CodeSetLibrary, _iter_lines, first_occurrences
+from .errors import ConfigError, ParseError
 
 TASKS = ("rrt", "dialysis", "transplant")
+
+# The overlapping prediction horizons in days. The disjoint label windows end
+# at them, (0,30], (30,60], ..., (180,365], and one more class means no event
+# within the last horizon.
+HORIZON_DAYS = (30, 60, 90, 180, 365)
+N_CLASSES = len(HORIZON_DAYS) + 1
+# The one-hot label of each class, shared by every trigger that has it.
+_ONE_HOT = tuple(tuple(int(i == cls) for i in range(N_CLASSES)) for cls in range(N_CLASSES))
 
 
 class IneligibilityReason(str, Enum):
@@ -35,30 +45,6 @@ class IneligibilityReason(str, Enum):
     RRT_ALREADY_INITIATED = "rrt_already_initiated"
     INSUFFICIENT_HISTORY = "insufficient_history"
     NO_RECENT_CLAIM = "no_recent_claim"
-
-
-@dataclass(frozen=True)
-class Horizons:
-    """Overlapping prediction horizons and the disjoint windows that tile them."""
-
-    overlapping: tuple[int, ...] = (30, 60, 90, 180, 365)
-    disjoint: tuple[tuple[int, int], ...] = ((0, 30), (30, 60), (60, 90), (90, 180), (180, 365))
-
-    def validate(self) -> None:
-        lo = 0
-        for (a, b), h in zip(self.disjoint, self.overlapping):
-            if a != lo or b != h:
-                raise ConfigError("disjoint windows must tile (0, max horizon] at the horizons")
-            lo = b
-        if len(self.disjoint) != len(self.overlapping):
-            raise ConfigError("horizons and disjoint windows must align")
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.disjoint) + 1
-
-
-DEFAULT_HORIZONS = Horizons()
 
 
 @dataclass(frozen=True)
@@ -135,38 +121,11 @@ def _eligibility(facts: _TimelineFacts, t: date) -> frozenset[IneligibilityReaso
     return frozenset(reasons)
 
 
-def check_eligibility(
-    timeline: ClaimTimeline, t: date, library: CodeSetLibrary
-) -> tuple[bool, frozenset[IneligibilityReason]]:
-    reasons = _eligibility(_facts(timeline, library), t)
-    return (not reasons, reasons)
-
-
-def _label_from_offset(offset: int | None, horizons: Horizons) -> tuple[int, ...]:
-    n = horizons.n_classes
-    cls = n - 1
-    if offset is not None and offset >= 1:
-        edges = horizons.overlapping
-        if offset <= edges[-1]:
-            cls = bisect_left(edges, offset)
-    return tuple(1 if i == cls else 0 for i in range(n))
-
-
-def label_trigger(
-    timeline: ClaimTimeline,
-    t: date,
-    task: CodeSet,
-    horizons: Horizons = DEFAULT_HORIZONS,
-) -> tuple[int, ...]:
-    """One-hot disjoint-window label for the first task event strictly after t."""
-    offset = None
-    for claim in timeline.claims:
-        if claim.service_date <= t:
-            continue
-        if any(item in task for item in claim.items):
-            offset = (claim.service_date - t).days
-            break
-    return _label_from_offset(offset, horizons)
+def _label_from_offset(offset: int | None) -> tuple[int, ...]:
+    cls = N_CLASSES - 1
+    if offset is not None and 1 <= offset <= HORIZON_DAYS[-1]:
+        cls = bisect_left(HORIZON_DAYS, offset)
+    return _ONE_HOT[cls]
 
 
 def enumerate_triggers(
@@ -174,7 +133,6 @@ def enumerate_triggers(
     trigger_range: tuple[date, date],
     library: CodeSetLibrary,
     dataset_end: date,
-    horizons: Horizons = DEFAULT_HORIZONS,
 ) -> list[Trigger]:
     """One candidate trigger per first-of-month in trigger_range, labeled.
 
@@ -182,7 +140,7 @@ def enumerate_triggers(
     every label is fully observed.
     """
     start, end = trigger_range
-    max_horizon = horizons.overlapping[-1]
+    max_horizon = HORIZON_DAYS[-1]
     if end + timedelta(days=max_horizon) > dataset_end:
         raise ConfigError(
             f"trigger range end {end} needs {max_horizon} days of buffer before "
@@ -200,7 +158,7 @@ def enumerate_triggers(
         for task in TASKS:
             first = facts.first_by_task[task]
             offset = None if first is None else first - t_ord
-            labels[task] = _label_from_offset(offset, horizons)
+            labels[task] = _label_from_offset(offset)
         out.append(Trigger(timeline.beneficiary.id, t, True, frozenset(), labels))
     return out
 
@@ -254,46 +212,37 @@ def trigger_row(trigger: Trigger) -> str:
     )
 
 
-def _one_hot_labels(n_classes: int) -> dict[str, tuple[int, ...]]:
-    labels = (tuple(int(i == cls) for i in range(n_classes)) for cls in range(n_classes))
-    return {"".join(map(str, label)): label for label in labels}
-
-
 # Each valid label bit string and its one-hot tuple, shared by every row that has it.
-_ONE_HOT_LABELS = _one_hot_labels(DEFAULT_HORIZONS.n_classes)
+_ONE_HOT_LABELS = {"".join(map(str, label)): label for label in _ONE_HOT}
 
 
-def _row_error(line_no: int | None, message: str) -> DataError:
-    return DataError(message) if line_no is None else ParseError(line_no, message)
-
-
-def _parse_reasons(raw: str, line_no: int | None) -> frozenset[IneligibilityReason]:
+def _parse_reasons(raw: str, line_no: int) -> frozenset[IneligibilityReason]:
     try:
         return frozenset(IneligibilityReason(name) for name in raw.split(",") if name)
     except ValueError:
-        raise _row_error(line_no, f"unknown ineligibility reason in {raw!r}")
+        raise ParseError(line_no, f"unknown ineligibility reason in {raw!r}")
 
 
 def _parse_trigger(
     line: str,
-    line_no: int | None,
+    line_no: int,
     dates: dict[str, date],
     reason_sets: dict[str, frozenset[IneligibilityReason]],
 ) -> Trigger:
     """Parse one trigger row, interning dates and reason sets in the read's tables."""
     fields = line.rstrip("\n").split("\t")
     if len(fields) != 4 + len(TASKS):
-        raise _row_error(line_no, f"bad trigger row: {line!r}")
+        raise ParseError(line_no, f"bad trigger row: {line!r}")
     bid, date_raw, eligible_raw, reasons_raw = fields[:4]
     if not bid:
-        raise _row_error(line_no, "trigger row with empty beneficiary_id")
+        raise ParseError(line_no, "trigger row with empty beneficiary_id")
     if date_raw not in dates:
         try:
             dates[date_raw] = date.fromisoformat(date_raw)
         except ValueError:
-            raise _row_error(line_no, f"bad trigger_date {date_raw!r} (expected YYYY-MM-DD)")
+            raise ParseError(line_no, f"bad trigger_date {date_raw!r} (expected YYYY-MM-DD)")
     if eligible_raw not in ("0", "1"):
-        raise _row_error(line_no, f"bad eligible flag {eligible_raw!r} (expected 0 or 1)")
+        raise ParseError(line_no, f"bad eligible flag {eligible_raw!r} (expected 0 or 1)")
     if reasons_raw not in reason_sets:
         reason_sets[reasons_raw] = _parse_reasons(reasons_raw, line_no)
     eligible = eligible_raw == "1"
@@ -303,15 +252,11 @@ def _parse_trigger(
         for task, bits in zip(TASKS, fields[4:]):
             label = _ONE_HOT_LABELS.get(bits)
             if label is None:
-                raise _row_error(
+                raise ParseError(
                     line_no, f"bad {task} label {bits!r} (expected a one-hot bit string)"
                 )
             labels[task] = label
     return Trigger(bid, dates[date_raw], eligible, reason_sets[reasons_raw], labels)
-
-
-def parse_trigger_row(line: str) -> Trigger:
-    return _parse_trigger(line, None, {}, {})
 
 
 def iter_trigger_rows(source) -> Iterator[Trigger]:

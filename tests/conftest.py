@@ -12,6 +12,7 @@ from renalrisk.claims import (
     Race,
     Sex,
     default_codeset_library,
+    iter_timelines,
 )
 
 
@@ -33,6 +34,11 @@ def timeline_with(bene, *claims):
     tl = ClaimTimeline(bene, list(claims))
     tl.sort()
     return tl
+
+
+def timelines_by_id(lines):
+    """Every timeline of a claims stream, by beneficiary id."""
+    return {tl.beneficiary.id: tl for tl in iter_timelines(lines)}
 
 
 def monthly_claims(bid, start, n_months, items=(("ICD10_DX", "E001"),), day=15):
@@ -62,5 +68,6 @@ __all__ = [
     "make_beneficiary",
     "make_claim",
     "timeline_with",
+    "timelines_by_id",
     "monthly_claims",
 ]

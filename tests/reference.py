@@ -1,19 +1,40 @@
-"""Slow single-row featurizer, kept only as the oracle for the compiled path.
+"""Slow reference versions of production code, kept only as test oracles.
 
-The pipeline featurizes through ``CompiledTimeline`` and builds its vocabulary
-with ``vocabulary_from_counts``. These functions do the same work by a plain
-Python scan over every claim of a timeline, one trigger at a time, and the
-equivalence tests compare the two.
+Each oracle does the work of a production path the plain way, and the
+equivalence tests compare the two:
+
+- ``reference_parse_claims`` / ``reference_parse_claim`` validate every token
+  of every line and build a new object for it, where ``iter_timelines``
+  interns repeated tokens per read; ``reference_parse_trigger_row`` parses a
+  trigger row without any checks, against ``iter_trigger_rows``.
+- ``first_occurrence`` scans a timeline for one code set, against the
+  one-scan ``first_occurrences``; ``task_codeset`` spells out each task's code
+  set, rrt as the union of the dialysis and transplant sets.
+- ``brute_force_label`` scans every day offset after a trigger, against the
+  labels of ``enumerate_triggers``.
+- ``collect_active_keys``, ``featurize`` and ``build_vocabulary`` scan every
+  claim of a timeline, one trigger at a time, against ``CompiledTimeline`` and
+  ``vocabulary_from_counts``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from datetime import date
+from datetime import date, timedelta
 from typing import Iterable
 
-from renalrisk.claims import ClaimTimeline
-from renalrisk.errors import DataError
+from renalrisk.claims import (
+    Claim,
+    ClaimTimeline,
+    ClaimType,
+    CodedItem,
+    CodeSet,
+    CodeSetLibrary,
+    CodeSystem,
+    _parse_beneficiary,
+    _parse_date,
+)
+from renalrisk.errors import DataError, ParseError
 from renalrisk.features import (
     BUCKET_EDGES,
     Vocabulary,
@@ -24,6 +45,111 @@ from renalrisk.features import (
     race_key,
     sex_key,
 )
+from renalrisk.triggers import HORIZON_DAYS, N_CLASSES, TASKS, IneligibilityReason, Trigger
+
+# -- claims and trigger rows --------------------------------------------------------
+
+
+def reference_parse_claim(fields: list[str], line_no: int) -> Claim:
+    if len(fields) < 4:
+        raise ParseError(line_no, f"claim record needs at least 4 fields, got {len(fields)}")
+    _, bid, date_raw, type_raw = fields[:4]
+    if not bid:
+        raise ParseError(line_no, "claim with empty beneficiary_id")
+    service_date = _parse_date(date_raw, line_no, "service_date")
+    try:
+        claim_type = ClaimType(type_raw)
+    except ValueError:
+        raise ParseError(line_no, f"bad claim_type {type_raw!r}")
+    items = []
+    for token in fields[4:]:
+        system_raw, sep, code = token.partition(":")
+        if not sep or not code:
+            raise ParseError(line_no, f"bad item {token!r} (expected SYSTEM:code)")
+        try:
+            system = CodeSystem(system_raw)
+        except ValueError:
+            raise ParseError(line_no, f"unknown code system {system_raw!r}")
+        items.append(CodedItem(system, code))
+    return Claim(bid, service_date, claim_type, items)
+
+
+def reference_parse_claims(lines: list[str]) -> dict[str, ClaimTimeline]:
+    """One timeline per beneficiary id; claims may come in any order after their B record."""
+    timelines: dict[str, ClaimTimeline] = {}
+    for line_no, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if fields[0] == "B":
+            bene = _parse_beneficiary(fields, line_no)
+            if bene.id in timelines:
+                raise ParseError(line_no, f"duplicate beneficiary record {bene.id!r}")
+            timelines[bene.id] = ClaimTimeline(bene)
+        elif fields[0] == "C":
+            claim = reference_parse_claim(fields, line_no)
+            timeline = timelines.get(claim.beneficiary_id)
+            if timeline is None:
+                raise ParseError(
+                    line_no, f"claim references unknown beneficiary {claim.beneficiary_id!r}"
+                )
+            timeline.claims.append(claim)
+        else:
+            raise ParseError(line_no, f"unknown record tag {fields[0]!r}")
+    for timeline in timelines.values():
+        timeline.sort()
+    return timelines
+
+
+def reference_parse_trigger_row(line: str) -> Trigger:
+    fields = line.rstrip("\n").split("\t")
+    bid, date_raw, eligible_raw, reasons_raw = fields[:4]
+    eligible = eligible_raw == "1"
+    reasons = frozenset(IneligibilityReason(r) for r in reasons_raw.split(",") if r)
+    labels = None
+    if eligible:
+        labels = {task: tuple(int(b) for b in bits) for task, bits in zip(TASKS, fields[4:])}
+    return Trigger(bid, date.fromisoformat(date_raw), eligible, reasons, labels)
+
+
+# -- code sets and labels -------------------------------------------------------------
+
+
+def task_codeset(library: CodeSetLibrary, task: str) -> CodeSet:
+    """The code set whose first claim is the task's event."""
+    if task == "rrt":
+        return CodeSet("rrt", library.dialysis.codes | library.transplant.codes)
+    return {"dialysis": library.dialysis, "transplant": library.transplant}[task]
+
+
+def first_occurrence(timeline: ClaimTimeline, codeset: CodeSet) -> date | None:
+    """Earliest service date of any claim carrying a code from ``codeset``."""
+    for claim in timeline.claims:
+        for item in claim.items:
+            if item in codeset:
+                return claim.service_date
+    return None
+
+
+def brute_force_label(timeline: ClaimTimeline, t: date, codeset: CodeSet) -> tuple[int, ...]:
+    """One-hot window of the first codeset event after t, by scanning every day offset."""
+    for offset in range(1, HORIZON_DAYS[-1] + 2):
+        day = t + timedelta(days=offset)
+        hit = any(
+            claim.service_date == day and any(item in codeset for item in claim.items)
+            for claim in timeline.claims
+        )
+        if hit:
+            if offset > HORIZON_DAYS[-1]:
+                break
+            for k, hi in enumerate(HORIZON_DAYS):
+                if offset <= hi:
+                    return tuple(1 if i == k else 0 for i in range(N_CLASSES))
+    return tuple(1 if i == N_CLASSES - 1 else 0 for i in range(N_CLASSES))
+
+
+# -- features -------------------------------------------------------------------------
 
 
 def day_bucket(offset: int) -> int | None:

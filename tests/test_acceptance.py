@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from renalrisk.claims import default_codeset_library, iter_timelines
+from renalrisk.claims import CodeSystem, default_codeset_library, iter_timelines
 from renalrisk.evaluation import gmean_operating_point, roc_auc
 from renalrisk.features import ClaimInterner, CompiledTimeline, column_map, vocabulary_from_counts
 from renalrisk.model import ModelParams, loss_and_grad, predict_matrix
@@ -25,12 +25,12 @@ from renalrisk.pipeline import (
     run_stage,
 )
 from renalrisk.synth import SynthConfig, generate
-from renalrisk.triggers import enumerate_triggers, label_trigger
+from renalrisk.triggers import enumerate_triggers
 
 from conftest import make_beneficiary, make_claim, monthly_claims, timeline_with
 from test_evaluation import brute_force_roc_auc
+from reference import brute_force_label, task_codeset
 from test_model import C, make_matrix, numeric_gradient, rand_problem
-from test_triggers import brute_force_label
 
 LIB = default_codeset_library()
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -136,25 +136,42 @@ def test_criterion_4_label_oracle_equivalence():
     rng = np.random.default_rng(4004)
     t = date(2014, 1, 1)
     codes = ["90951", "90960", "50360", "36821", "11111", "N183"]
+    rrt = task_codeset(LIB, "rrt")
     boundary_offsets = [1, 29, 30, 31, 60, 61, 90, 91, 180, 181, 365, 366]
+    # a CKD code 400 days back and a claim 10 days back make t an eligible trigger
+    scaffold = [
+        make_claim("b1", t - timedelta(days=400), [("ICD10_DX", "N183")]),
+        make_claim("b1", t - timedelta(days=10)),
+    ]
     disagreements = 0
+    ineligible = 0
     for trial in range(10_000):
         n_claims = int(rng.integers(0, 7))
-        claims = []
+        claims = list(scaffold)
         for _ in range(n_claims):
-            if trial % 4 == 0:
-                offset = int(boundary_offsets[rng.integers(0, len(boundary_offsets))])
-            else:
-                offset = int(rng.integers(-60, 430))
             code = codes[rng.integers(0, len(codes))]
             system = "ICD10_DX" if code.startswith("N") else "CPT"
+            if trial % 4 == 0:
+                offset = int(boundary_offsets[rng.integers(0, len(boundary_offsets))])
+            elif (CodeSystem(system), code) in rrt.codes:
+                offset = int(rng.integers(1, 430))  # an rrt event at or before t makes t ineligible
+            else:
+                offset = int(rng.integers(-60, 430))
             claims.append(make_claim("b1", t + timedelta(days=offset), [(system, code)]))
         tl = timeline_with(make_beneficiary("b1"), *claims)
+        (trig,) = enumerate_triggers(tl, (t, t), LIB, t + timedelta(days=365))
+        if not trig.eligible:
+            ineligible += 1
+            continue
         task = ("rrt", "dialysis", "transplant")[trial % 3]
-        codeset = LIB.task_codeset(task)
-        if label_trigger(tl, t, codeset) != brute_force_label(tl, t, codeset):
+        if trig.labels[task] != brute_force_label(tl, t, task_codeset(LIB, task)):
             disagreements += 1
-    record(4, disagreements == 0, f"disjoint labels vs day-scan oracle: {disagreements} disagreements in 10000 timelines")
+    record(
+        4,
+        disagreements == 0 and ineligible == 0,
+        f"enumerate_triggers labels vs day-scan oracle: {disagreements} disagreements and "
+        f"{ineligible} ineligible triggers in 10000 timelines",
+    )
 
 
 # -- 5: leakage property -----------------------------------------------------------------

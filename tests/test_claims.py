@@ -1,5 +1,4 @@
-import io
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
 from hypothesis import given, settings
@@ -10,22 +9,21 @@ from renalrisk.claims import (
     CodeSystem,
     ParseError,
     default_codeset_library,
-    first_occurrence,
-    iter_timelines,
+    first_occurrences,
     load_codeset_library,
-    parse_claims,
-    write_claims,
 )
 from renalrisk.errors import ConfigError
+from renalrisk.triggers import _facts
 
-from conftest import make_beneficiary, make_claim, timeline_with
+from conftest import make_beneficiary, make_claim, timeline_with, timelines_by_id
+from reference import reference_parse_claims, task_codeset
 
 B_LINE = "B\tb1\tfemale\twhite\t1940\t2011-01-01\t"
 C_LINE = "C\tb1\t2013-05-02\toutpatient\tICD10_DX:N183"
 
 
 def test_empty_stream_gives_empty_dataset():
-    assert parse_claims([]) == {}
+    assert timelines_by_id([]) == {}
 
 
 def test_sort_keeps_equal_dates_in_input_order():
@@ -35,7 +33,7 @@ def test_sort_keeps_equal_dates_in_input_order():
         "C\tb1\t2012-01-01\tcarrier",
         "C\tb1\t2013-05-02\tinpatient\tCPT:22222",
     ]
-    tl = parse_claims(lines)["b1"]
+    tl = timelines_by_id(lines)["b1"]
     assert [c.service_date.isoformat() for c in tl.claims] == [
         "2012-01-01",
         "2013-05-02",
@@ -47,7 +45,7 @@ def test_sort_keeps_equal_dates_in_input_order():
 
 
 def test_zero_claim_beneficiary_retained():
-    data = parse_claims([B_LINE])
+    data = timelines_by_id([B_LINE])
     assert list(data) == ["b1"]
     assert data["b1"].claims == []
 
@@ -55,113 +53,104 @@ def test_zero_claim_beneficiary_retained():
 def test_missing_field_error_names_line():
     lines = [B_LINE, "C\tb1\toutpatient"]
     with pytest.raises(ParseError, match="line 2"):
-        parse_claims(lines)
+        timelines_by_id(lines)
 
 
 def test_bad_date_error_names_line():
     with pytest.raises(ParseError, match="line 2.*service_date"):
-        parse_claims([B_LINE, "C\tb1\tnot-a-date\toutpatient"])
+        timelines_by_id([B_LINE, "C\tb1\tnot-a-date\toutpatient"])
 
 
 def test_unknown_tag_rejected():
     with pytest.raises(ParseError, match="unknown record tag"):
-        parse_claims(["X\tstuff"])
+        timelines_by_id(["X\tstuff"])
 
 
 def test_claim_for_unknown_beneficiary_rejected():
     with pytest.raises(ParseError, match="unknown beneficiary"):
-        parse_claims([C_LINE])
+        timelines_by_id([C_LINE])
 
 
 def test_duplicate_beneficiary_rejected():
     with pytest.raises(ParseError, match="duplicate beneficiary"):
-        parse_claims([B_LINE, B_LINE])
+        timelines_by_id([B_LINE, B_LINE])
+
+
+def test_ungrouped_claim_error_names_line():
+    lines = [B_LINE, C_LINE, "B\tb2\tmale\tblack\t1935\t2011-02-01\t", C_LINE]
+    with pytest.raises(ParseError, match="line 4: claim of beneficiary 'b1' does not follow"):
+        timelines_by_id(lines)
 
 
 def test_unknown_code_system_rejected():
     with pytest.raises(ParseError, match="unknown code system"):
-        parse_claims([B_LINE, "C\tb1\t2013-01-01\toutpatient\tNOPE:123"])
+        timelines_by_id([B_LINE, "C\tb1\t2013-01-01\toutpatient\tNOPE:123"])
 
 
 def test_birth_year_must_precede_enrollment():
     with pytest.raises(ParseError, match="birth_year"):
-        parse_claims(["B\tb1\tfemale\twhite\t2012\t2011-01-01\t"])
+        timelines_by_id(["B\tb1\tfemale\twhite\t2012\t2011-01-01\t"])
 
 
 def test_death_before_enrollment_rejected():
     with pytest.raises(ParseError, match="death_date"):
-        parse_claims(["B\tb1\tfemale\twhite\t1940\t2011-01-01\t2010-12-31"])
+        timelines_by_id(["B\tb1\tfemale\twhite\t1940\t2011-01-01\t2010-12-31"])
 
 
 def test_iter_timelines_matches_parse_on_grouped_input():
     lines = [B_LINE, C_LINE, "B\tb2\tmale\tblack\t1935\t2011-02-01\t"]
-    grouped = {tl.beneficiary.id: tl for tl in iter_timelines(lines)}
-    assert grouped == parse_claims(lines)
+    assert timelines_by_id(lines) == reference_parse_claims(lines)
 
 
-# -- round trip -------------------------------------------------------------
+# -- claim order --------------------------------------------------------------
 
 _sexes = st.sampled_from(["female", "male", "unknown"])
 _races = st.sampled_from(["white", "black", "asian", "other"])
 _codes = st.text(alphabet="ABCDEFG0123456789", min_size=1, max_size=6)
 _systems = st.sampled_from([s.value for s in CodeSystem])
 _days = st.integers(min_value=0, max_value=2100)
+_START = date(2011, 1, 1)
 
 
 @st.composite
 def datasets(draw):
-    n_bene = draw(st.integers(min_value=0, max_value=4))
-    lines = []
-    for i in range(n_bene):
-        bid = f"p{i}"
+    """Claims files grouped by beneficiary, as list of (B line, claim lines)."""
+    groups = []
+    for i in range(draw(st.integers(min_value=0, max_value=4))):
         death = draw(st.one_of(st.none(), st.integers(min_value=30, max_value=2190)))
-        death_txt = (date(2011, 1, 1) + __import__("datetime").timedelta(days=death)).isoformat() if death else ""
-        lines.append(
-            f"B\t{bid}\t{draw(_sexes)}\t{draw(_races)}\t{draw(st.integers(1920, 1950))}\t2011-01-01\t{death_txt}"
-        )
-    for _ in range(draw(st.integers(min_value=0, max_value=12))):
-        if not n_bene:
-            break
-        bid = f"p{draw(st.integers(0, n_bene - 1))}"
-        day = date(2011, 1, 1) + __import__("datetime").timedelta(days=draw(_days))
-        items = "\t".join(
-            f"{draw(_systems)}:{draw(_codes)}" for _ in range(draw(st.integers(0, 3)))
-        )
-        row = f"C\t{bid}\t{day.isoformat()}\toutpatient"
-        if items:
-            row += "\t" + items
-        lines.append(row)
-    return lines
-
-
-@given(datasets())
-@settings(max_examples=60, deadline=None)
-def test_parse_serialize_parse_round_trip(lines):
-    first = parse_claims(lines)
-    buf = io.StringIO()
-    write_claims(first, buf)
-    buf.seek(0)
-    again = parse_claims(buf)
-    assert again == first
+        death_txt = (_START + timedelta(days=death)).isoformat() if death else ""
+        birth = draw(st.integers(1920, 1950))
+        bene = f"B\tp{i}\t{draw(_sexes)}\t{draw(_races)}\t{birth}\t2011-01-01\t{death_txt}"
+        claims = []
+        for _ in range(draw(st.integers(min_value=0, max_value=4))):
+            day = _START + timedelta(days=draw(_days))
+            tokens = [f"{draw(_systems)}:{draw(_codes)}" for _ in range(draw(st.integers(0, 3)))]
+            claims.append("\t".join(["C", f"p{i}", day.isoformat(), "outpatient", *tokens]))
+        groups.append((bene, claims))
+    return groups
 
 
 @given(datasets(), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
-def test_timeline_invariant_under_claim_line_permutation(lines, rnd):
-    """Shuffling claim lines never changes a timeline, except equal-date ties."""
-    bene_lines = [l for l in lines if l.startswith("B")]
-    claim_lines = [l for l in lines if l.startswith("C")]
-    rnd.shuffle(claim_lines)
-    base = parse_claims(lines)
-    shuffled = parse_claims(bene_lines + claim_lines)
+def test_timeline_invariant_under_claim_line_permutation(groups, rnd):
+    """Shuffling a beneficiary's claim lines never changes its timeline, except equal-date ties."""
+    lines = [line for bene, claims in groups for line in (bene, *claims)]
+    shuffled = []
+    for bene, claims in groups:
+        claims = list(claims)
+        rnd.shuffle(claims)
+        shuffled += [bene, *claims]
+    base = timelines_by_id(lines)
+    again = timelines_by_id(shuffled)
+    assert list(again) == list(base)
     for bid, tl in base.items():
         dates = [c.service_date for c in tl.claims]
-        assert [c.service_date for c in shuffled[bid].claims] == sorted(dates)
+        assert [c.service_date for c in again[bid].claims] == sorted(dates)
         if len(set(dates)) == len(dates):  # no ties: full equality
-            assert shuffled[bid] == tl
+            assert again[bid] == tl
 
 
-# -- first_occurrence --------------------------------------------------------
+# -- first occurrences --------------------------------------------------------
 
 
 def _single_code_set(name, system, code):
@@ -172,7 +161,7 @@ def test_first_occurrence_absent_without_match():
     tl = timeline_with(
         make_beneficiary(), make_claim("b1", date(2012, 1, 1), [("CPT", "00000")])
     )
-    assert first_occurrence(tl, _single_code_set("d", "CPT", "90951")) is None
+    assert first_occurrences(tl, [_single_code_set("d", "CPT", "90951")]) == [None]
 
 
 def test_first_occurrence_takes_min_date():
@@ -182,7 +171,7 @@ def test_first_occurrence_takes_min_date():
         make_claim("b1", date(2014, 3, 1), [("CPT", "90955")]),
     )
     lib = default_codeset_library()
-    assert first_occurrence(tl, lib.dialysis) == date(2014, 3, 1)
+    assert first_occurrences(tl, [lib.dialysis]) == [date(2014, 3, 1)]
 
 
 def test_first_occurrence_union_semantics():
@@ -190,9 +179,12 @@ def test_first_occurrence_union_semantics():
     tl = timeline_with(
         make_beneficiary(), make_claim("b1", date(2013, 7, 4), [("CPT", "50360")])
     )
-    assert first_occurrence(tl, lib.transplant) == date(2013, 7, 4)
-    assert first_occurrence(tl, lib.rrt) == date(2013, 7, 4)
-    assert first_occurrence(tl, lib.dialysis) is None
+    rrt = task_codeset(lib, "rrt")
+    assert first_occurrences(tl, (lib.transplant, rrt, lib.dialysis)) == [
+        date(2013, 7, 4),
+        date(2013, 7, 4),
+        None,
+    ]
 
 
 @given(
@@ -203,23 +195,28 @@ def test_first_occurrence_union_semantics():
 )
 @settings(max_examples=100, deadline=None)
 def test_first_occurrence_of_union_is_min_of_parts(events):
-    from datetime import timedelta
-
     lib = default_codeset_library()
     claims = [
         make_claim("b1", date(2012, 1, 1) + timedelta(days=d), [("CPT", code)])
         for d, code in events
     ]
     tl = timeline_with(make_beneficiary(), *claims)
-    inf = date.max
-    d = first_occurrence(tl, lib.dialysis) or inf
-    t = first_occurrence(tl, lib.transplant) or inf
-    u = first_occurrence(tl, lib.rrt) or inf
+    sets = (lib.dialysis, lib.transplant, task_codeset(lib, "rrt"))
+    d, t, u = (day or date.max for day in first_occurrences(tl, sets))
     assert u == min(d, t)
 
 
 def test_rrt_is_union_of_dialysis_and_transplant(library):
-    assert library.rrt.codes == library.dialysis.codes | library.transplant.codes
+    """The rrt event is the first claim coded from either the dialysis or the transplant set."""
+    tl = timeline_with(
+        make_beneficiary(),
+        make_claim("b1", date(2013, 7, 4), [("CPT", "50360")]),
+        make_claim("b1", date(2013, 9, 1), [("CPT", "90951")]),
+    )
+    facts = _facts(tl, library)
+    assert facts.first_rrt == facts.first_by_task["rrt"] == date(2013, 7, 4).toordinal()
+    assert facts.first_by_task["transplant"] == date(2013, 7, 4).toordinal()
+    assert facts.first_by_task["dialysis"] == date(2013, 9, 1).toordinal()
 
 
 def test_codeset_file_override(tmp_path):
@@ -230,7 +227,7 @@ def test_codeset_file_override(tmp_path):
     )
     lib = load_codeset_library(path)
     assert (CodeSystem.CPT, "1") in lib.dialysis.codes
-    assert len(lib.rrt.codes) == 2
+    assert len(task_codeset(lib, "rrt").codes) == 2
 
 
 def test_codeset_unknown_system_rejected(tmp_path):

@@ -143,6 +143,7 @@ def test_vocabulary_empty_training_set_errors(tmp_path):
     with pytest.raises(DataError, match="no eligible training triggers"):
         run_stage(cfg, "featurize")
     assert not (workdir / "vocab.tsv").exists()
+    assert not (workdir / "split.tsv").exists()
     assert not list(workdir.glob("*.tmp"))
 
 

@@ -292,6 +292,59 @@ def test_task_flag_runs_single_task(completed_run, capsys):
     assert "up to date" in capsys.readouterr().out
 
 
+def test_partial_evaluate_report_is_replaced_by_a_full_evaluate(completed_run, tmp_path, capsys):
+    workdir, cfg_path = _copy_of_run(completed_run, tmp_path)
+    raw = json.loads(cfg_path.read_text())
+    raw["train"]["tasks"] = ["rrt", "dialysis"]
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["reproduce", "--config", str(cfg_path)]) == 0
+    report = workdir / "report.json"
+    full = report.read_bytes()
+    assert sorted(json.loads(full)["performance"]) == ["dialysis", "rrt"]
+
+    report.unlink()
+    assert main(["evaluate", "--config", str(cfg_path), "--task", "rrt"]) == 0
+    partial = json.loads(report.read_text())
+    assert sorted(partial["performance"]) == ["rrt"] and partial["impact"] is None
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg_path)]) == 0
+    assert "evaluate: up to date" not in capsys.readouterr().out
+    assert report.read_bytes() == full
+    assert main(["reproduce", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out.count("up to date") == 6
+
+
+_WRONG_TYPES = [
+    ("seed", "abc"),
+    ("features.min_count", "x"),
+    ("train.hyperparams.batch_size", "x"),
+    ("synth.date_range", ["2011-13-01", "2016-12-31"]),
+    ("synth.ckd_fraction", "x"),
+    ("evaluate.target_sensitivities", ["x"]),
+    ("split.ratios", "abc"),
+    ("features", 5),
+    ("train.hyperparams", 5),
+    ("train.grid", 5),
+]
+
+
+@pytest.mark.parametrize("field, value", _WRONG_TYPES, ids=[f for f, _ in _WRONG_TYPES])
+def test_wrong_typed_config_value_is_a_config_error(tmp_path, capsys, field, value):
+    raw = json.loads(write_config(tmp_path).read_text())
+    *sections, key = field.split(".")
+    section = raw
+    for name in sections:
+        section = section.setdefault(name, {})
+    section[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["synth", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_workers_validation():
     assert main(["synth", "--config", "x", "--workers", "0"]) == 1
 

@@ -3,7 +3,7 @@ from datetime import date
 
 import pytest
 
-from renalrisk.claims import default_codeset_library, first_occurrence, parse_claims
+from renalrisk.claims import default_codeset_library
 from renalrisk.errors import ConfigError
 from renalrisk.synth import (
     SynthConfig,
@@ -12,6 +12,9 @@ from renalrisk.synth import (
     generate,
 )
 from renalrisk.triggers import enumerate_triggers
+
+from conftest import timelines_by_id
+from reference import first_occurrence, task_codeset
 
 LIB = default_codeset_library()
 
@@ -45,9 +48,9 @@ def test_zero_target_means_no_event_codes():
         line.split("\t")[1] in ("dialysis", "transplant")
         for line in truth_text.splitlines()
     )
-    timelines = parse_claims(io.StringIO(claims_text))
+    timelines = timelines_by_id(io.StringIO(claims_text))
     for tl in timelines.values():
-        assert first_occurrence(tl, LIB.rrt) is None
+        assert first_occurrence(tl, task_codeset(LIB, "rrt")) is None
 
 
 def test_same_config_and_seed_bit_identical():
@@ -72,7 +75,7 @@ def test_different_seed_changes_output():
 
 def test_no_claims_after_death(small_cohort):
     _, claims_text, _, _ = small_cohort
-    timelines = parse_claims(io.StringIO(claims_text))
+    timelines = timelines_by_id(io.StringIO(claims_text))
     n_deceased = 0
     for tl in timelines.values():
         death = tl.beneficiary.death_date
@@ -85,7 +88,7 @@ def test_no_claims_after_death(small_cohort):
 
 def test_ground_truth_onsets_match_first_occurrence(small_cohort):
     _, claims_text, truth_text, _ = small_cohort
-    timelines = parse_claims(io.StringIO(claims_text))
+    timelines = timelines_by_id(io.StringIO(claims_text))
     events = parse_truth(truth_text)
     n_checked = 0
     for bid, etype, day in events:
@@ -109,7 +112,7 @@ def test_access_creation_strictly_precedes_onset(small_cohort):
 def test_stage_codes_never_regress(small_cohort):
     # latent severity is monotone, so the emitted stage sequence is too
     _, claims_text, truth_text, _ = small_cohort
-    timelines = parse_claims(io.StringIO(claims_text))
+    timelines = timelines_by_id(io.StringIO(claims_text))
     onsets = {bid for bid, etype, _ in parse_truth(truth_text) if etype != "access_creation"}
     stage_codes = {f"585{i}": i for i in range(1, 7)} | {f"N18{i}": i for i in range(1, 7)}
     n_with_stages = 0
@@ -131,7 +134,7 @@ def test_stage_codes_never_regress(small_cohort):
 
 def test_claims_within_dataset_range(small_cohort):
     cfg, claims_text, _, _ = small_cohort
-    timelines = parse_claims(io.StringIO(claims_text))
+    timelines = timelines_by_id(io.StringIO(claims_text))
     lo, hi = cfg.date_range
     for tl in timelines.values():
         for claim in tl.claims:
@@ -161,7 +164,7 @@ def test_prevalence_calibration_small_scale():
     cfg = SynthConfig(n_beneficiaries=6000, seed=77, target_365d_prevalence=0.01)
     claims_text, _, summary = run_generate(cfg)
     assert summary.predicted_prevalence == pytest.approx(0.01, rel=0.05)
-    timelines = parse_claims(io.StringIO(claims_text))
+    timelines = timelines_by_id(io.StringIO(claims_text))
     n_pos = n_elig = 0
     for tl in timelines.values():
         for trig in enumerate_triggers(

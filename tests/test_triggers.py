@@ -4,27 +4,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renalrisk.claims import default_codeset_library, first_occurrence
-from renalrisk.errors import ConfigError, DataError, ParseError
+from renalrisk.claims import default_codeset_library
+from renalrisk.errors import ConfigError, ParseError
 from renalrisk.triggers import (
-    DEFAULT_HORIZONS,
     TASKS,
     IneligibilityReason as R,
-    check_eligibility,
     enumerate_triggers,
     iter_trigger_rows,
-    label_trigger,
     month_firsts,
-    parse_trigger_row,
     split_beneficiaries,
     trigger_row,
 )
 
 from conftest import make_beneficiary, make_claim, monthly_claims, timeline_with
+from reference import brute_force_label, first_occurrence, task_codeset
 
 LIB = default_codeset_library()
 DATASET_END = date(2016, 12, 31)
 RANGE = (date(2012, 1, 1), date(2015, 12, 1))
+
+
+def trigger_at(timeline, t):
+    """The candidate trigger of timeline at the first-of-month t."""
+    (trig,) = enumerate_triggers(timeline, (t, t), LIB, t + timedelta(days=365))
+    return trig
+
+
+def eligibility(timeline, t):
+    trig = trigger_at(timeline, t)
+    return trig.eligible, trig.reasons
 
 
 def test_48_monthly_triggers_in_study_range(eligible_timeline):
@@ -71,7 +79,7 @@ def test_rrt_on_trigger_date_is_ineligible():
     claims.append(make_claim(bid, date(2012, 2, 2), [("ICD10_DX", "N184")]))
     claims.append(make_claim(bid, date(2014, 3, 1), [("CPT", "90960")]))
     tl = timeline_with(make_beneficiary(bid), *claims)
-    ok, reasons = check_eligibility(tl, date(2014, 3, 1), LIB)
+    ok, reasons = eligibility(tl, date(2014, 3, 1))
     assert not ok and R.RRT_ALREADY_INITIATED in reasons
 
 
@@ -82,7 +90,7 @@ def test_transplant_blocks_dialysis_triggers_too():
     claims.append(make_claim(bid, date(2012, 2, 2), [("ICD10_DX", "N184")]))
     claims.append(make_claim(bid, date(2013, 6, 10), [("CPT", "50360")]))
     tl = timeline_with(make_beneficiary(bid), *claims)
-    ok, reasons = check_eligibility(tl, date(2013, 7, 1), LIB)
+    ok, reasons = eligibility(tl, date(2013, 7, 1))
     assert not ok and reasons == {R.RRT_ALREADY_INITIATED}
 
 
@@ -95,15 +103,15 @@ def test_recent_claim_window_boundaries():
     ]
     # claim exactly 31 days back -> stale
     tl = timeline_with(make_beneficiary(bid), *base, make_claim(bid, t - timedelta(days=31)))
-    ok, reasons = check_eligibility(tl, t, LIB)
+    ok, reasons = eligibility(tl, t)
     assert not ok and reasons == {R.NO_RECENT_CLAIM}
     # exactly 30 days back counts
     tl = timeline_with(make_beneficiary(bid), *base, make_claim(bid, t - timedelta(days=30)))
-    ok, reasons = check_eligibility(tl, t, LIB)
+    ok, reasons = eligibility(tl, t)
     assert ok
     # a claim dated on the trigger day itself does not count as recent
     tl = timeline_with(make_beneficiary(bid), *base, make_claim(bid, t))
-    ok, reasons = check_eligibility(tl, t, LIB)
+    ok, reasons = eligibility(tl, t)
     assert not ok and reasons == {R.NO_RECENT_CLAIM}
 
 
@@ -118,9 +126,9 @@ def test_history_boundary_364_vs_365_days():
             make_claim(bid, t - timedelta(days=10)),
         )
 
-    ok, reasons = check_eligibility(tl_with_first_claim(364), t, LIB)
+    ok, reasons = eligibility(tl_with_first_claim(364), t)
     assert not ok and reasons == {R.INSUFFICIENT_HISTORY}
-    ok, reasons = check_eligibility(tl_with_first_claim(365), t, LIB)
+    ok, reasons = eligibility(tl_with_first_claim(365), t)
     assert ok
 
 
@@ -129,12 +137,12 @@ def test_age_under_65_flagged():
     claims = monthly_claims(bid, date(2012, 1, 1), 30)
     claims.append(make_claim(bid, date(2012, 2, 2), [("ICD10_DX", "N184")]))
     tl = timeline_with(make_beneficiary(bid, birth_year=1950), *claims)
-    ok, reasons = check_eligibility(tl, date(2013, 6, 1), LIB)  # age 63 by birth year
+    ok, reasons = eligibility(tl, date(2013, 6, 1))  # age 63 by birth year
     assert not ok and reasons == {R.UNDER_65}
 
 
 def test_all_five_satisfied_is_eligible(eligible_timeline):
-    ok, reasons = check_eligibility(eligible_timeline, date(2013, 6, 1), LIB)
+    ok, reasons = eligibility(eligible_timeline, date(2013, 6, 1))
     assert ok and reasons == frozenset()
 
 
@@ -143,76 +151,49 @@ def test_ckd_code_must_precede_trigger():
     claims = monthly_claims(bid, date(2012, 1, 1), 30)
     claims.append(make_claim(bid, date(2013, 6, 1), [("ICD10_DX", "N184")]))
     tl = timeline_with(make_beneficiary(bid), *claims)
-    ok, reasons = check_eligibility(tl, date(2013, 6, 1), LIB)
+    ok, reasons = eligibility(tl, date(2013, 6, 1))
     assert not ok and R.NO_CKD_DX in reasons
-    ok, reasons = check_eligibility(tl, date(2013, 7, 1), LIB)
+    ok, reasons = eligibility(tl, date(2013, 7, 1))
     assert ok
 
 
 # -- labels -------------------------------------------------------------------
 
 
-def _timeline_with_event(offset_days, t=date(2014, 1, 1), code="90951"):
+LABEL_T = date(2014, 1, 1)
+
+
+def _timeline_with_event(offset_days, code="90951"):
+    """Eligible at LABEL_T, with one dialysis event offset_days after it."""
     bid = "b1"
-    claims = [make_claim(bid, t + timedelta(days=offset_days), [("CPT", code)])]
+    claims = [
+        make_claim(bid, LABEL_T - timedelta(days=400), [("ICD10_DX", "N183")]),
+        make_claim(bid, LABEL_T - timedelta(days=10)),
+        make_claim(bid, LABEL_T + timedelta(days=offset_days), [("CPT", code)]),
+    ]
     return timeline_with(make_beneficiary(bid), *claims)
 
 
+def _rrt_label(offset_days):
+    trig = trigger_at(_timeline_with_event(offset_days), LABEL_T)
+    assert trig.eligible
+    return trig.labels["rrt"]
+
+
 def test_event_at_day_50_labels_second_window():
-    tl = _timeline_with_event(50)
-    assert label_trigger(tl, date(2014, 1, 1), LIB.rrt) == (0, 1, 0, 0, 0, 0)
+    assert _rrt_label(50) == (0, 1, 0, 0, 0, 0)
 
 
 def test_no_event_within_365_labels_negative_class():
-    tl = _timeline_with_event(400)
-    assert label_trigger(tl, date(2014, 1, 1), LIB.rrt) == (0, 0, 0, 0, 0, 1)
+    assert _rrt_label(400) == (0, 0, 0, 0, 0, 1)
 
 
 def test_boundary_offsets_fall_in_lower_window():
     for offset, cls in ((1, 0), (30, 0), (31, 1), (60, 1), (90, 2), (180, 3), (365, 4), (366, 5)):
-        label = label_trigger(_timeline_with_event(offset), date(2014, 1, 1), LIB.rrt)
+        label = _rrt_label(offset)
         assert label.index(1) == cls, (offset, label)
-
-
-def brute_force_label(timeline, t, codeset, horizons=DEFAULT_HORIZONS):
-    """Independent oracle: scan every day offset 1..366 against the raw claims."""
-    edges = horizons.overlapping
-    for offset in range(1, 367):
-        day = t + timedelta(days=offset)
-        hit = any(
-            claim.service_date == day and any(item in codeset for item in claim.items)
-            for claim in timeline.claims
-        )
-        if hit:
-            if offset > edges[-1]:
-                break
-            for k, hi in enumerate(edges):
-                if offset <= hi:
-                    return tuple(1 if i == k else 0 for i in range(6))
-    return (0, 0, 0, 0, 0, 1)
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(min_value=-50, max_value=400),
-            st.sampled_from(["90951", "90960", "50360", "11111", "N183"]),
-        ),
-        max_size=6,
-    ),
-    st.sampled_from(["rrt", "dialysis", "transplant"]),
-)
-@settings(max_examples=300, deadline=None)
-def test_label_matches_brute_force_oracle(events, task):
-    t = date(2014, 1, 1)
-    bid = "b1"
-    claims = []
-    for offset, code in events:
-        system = "ICD10_DX" if code.startswith("N") else "CPT"
-        claims.append(make_claim(bid, t + timedelta(days=offset), [(system, code)]))
-    tl = timeline_with(make_beneficiary(bid), *claims)
-    codeset = LIB.task_codeset(task)
-    assert label_trigger(tl, t, codeset) == brute_force_label(tl, t, codeset)
+        tl = _timeline_with_event(offset)
+        assert label == brute_force_label(tl, LABEL_T, task_codeset(LIB, "rrt"))
 
 
 @given(
@@ -238,7 +219,7 @@ def test_enumerated_labels_match_brute_force_oracle(events):
     for trig in triggers:
         if trig.eligible:
             for task in TASKS:
-                codeset = LIB.task_codeset(task)
+                codeset = task_codeset(LIB, task)
                 assert trig.labels[task] == brute_force_label(tl, trig.trigger_date, codeset)
 
 
@@ -284,8 +265,7 @@ def test_split_is_always_a_partition(ids, seed):
 
 def test_trigger_row_round_trip(eligible_timeline):
     triggers = enumerate_triggers(eligible_timeline, RANGE, LIB, DATASET_END)
-    for trig in triggers:
-        assert parse_trigger_row(trigger_row(trig)) == trig
+    assert list(iter_trigger_rows([trigger_row(trig) for trig in triggers])) == triggers
 
 
 def test_month_firsts_mid_month_start():
@@ -305,7 +285,7 @@ def test_no_eligible_trigger_at_or_after_first_rrt():
     claims.append(make_claim(bid, date(2012, 2, 2), [("ICD10_DX", "N184")]))
     claims.append(make_claim(bid, date(2014, 7, 21), [("CPT", "90962")]))
     tl = timeline_with(make_beneficiary(bid), *claims)
-    onset = first_occurrence(tl, LIB.rrt)
+    onset = first_occurrence(tl, task_codeset(LIB, "rrt"))
     for trig in enumerate_triggers(tl, RANGE, LIB, DATASET_END):
         if trig.eligible:
             assert trig.trigger_date < onset
@@ -331,16 +311,5 @@ _GOOD_ROW = "b1\t2013-06-01\t1\t\t000001\t010000\t000001"
     ],
 )
 def test_malformed_trigger_row_is_a_data_error(row, message):
-    with pytest.raises(DataError, match=message):
-        parse_trigger_row(row)
     with pytest.raises(ParseError, match=f"line 2: .*{message}"):
         list(iter_trigger_rows(["#! {}", row, _GOOD_ROW]))
-
-
-def test_class_from_bits_refuses_a_non_one_hot_label():
-    from renalrisk.pipeline import _class_from_bits
-
-    assert _class_from_bits((0, 1, 0, 0, 0, 0)) == 1
-    for bits in ((0, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0), (0, 1), (0, 2, 0, 0, 0, 1)):
-        with pytest.raises(DataError, match="one-hot"):
-            _class_from_bits(bits)
