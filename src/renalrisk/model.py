@@ -33,6 +33,8 @@ from .features import FeatureMatrix
 from .triggers import N_CLASSES
 
 MODEL_MAGIC = b"RNRKLM01"
+# Rows per predict batch; it sets the slab composition and so the prediction bytes.
+PREDICT_BATCH_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -96,15 +98,27 @@ def _batch_logits(
 ) -> np.ndarray:
     """Logits for a gathered batch of sparse binary rows, shape (n_classes, n_rows).
 
-    Per-row sums come from a cumulative-sum difference over the slab, so
-    empty rows are handled exactly.
+    Byte contract: each class's weights are gathered into one slab in stored
+    order and prefix-summed sequentially over the whole slab (``np.cumsum``,
+    in place); row k's sum is the prefix at its last nonzero minus the prefix
+    before its first, with 0.0 for the empty prefix of the rows at the head of
+    the slab. The model bytes depend on this order: ``np.add.reduceat`` would
+    sum each row on its own and move the logits by ulps. The logits of a
+    batch with nonzeros are column-major, so that ``grad_b = g.sum(axis=1)``
+    in ``loss_and_grad`` adds the rows one after another rather than
+    pairwise; that order is part of the model bytes too. The slab is the
+    only array the size of the batch's nonzeros.
     """
     if flat.size == 0:
         return np.broadcast_to(bias[:, None], (bias.size, bounds.size - 1)).copy()
-    csum = np.concatenate(
-        [np.zeros((weights.shape[0], 1)), np.cumsum(weights[:, flat], axis=1)], axis=1
-    )
-    return csum[:, bounds[1:]] - csum[:, bounds[:-1]] + bias[:, None]
+    csum = np.take(weights, flat, axis=1)
+    np.cumsum(csum, axis=1, out=csum)
+    # prefix[:, k] sums slab[:, :bounds[k]]; bounds[k] - 1 == -1 would wrap to the total
+    prefix = np.take(csum, bounds - 1, axis=1)
+    prefix[:, : np.searchsorted(bounds, 0, side="right")] = 0.0
+    logits = np.subtract(prefix[:, 1:], prefix[:, :-1], order="F")
+    logits += bias[:, None]
+    return logits
 
 
 def _softmax_columns(logits: np.ndarray) -> np.ndarray:
@@ -154,9 +168,11 @@ def loss_and_grad(
     grad_b = g.sum(axis=1)
     grad_w = np.zeros_like(weights)
     if flat.size:
-        expand = np.repeat(np.arange(rows.size), np.diff(bounds))
+        sizes = np.diff(bounds)
         for c in range(weights.shape[0]):
-            grad_w[c] = np.bincount(flat, weights=g[c, expand], minlength=weights.shape[1])
+            grad_w[c] = np.bincount(
+                flat, weights=np.repeat(g[c], sizes), minlength=weights.shape[1]
+            )
     return ce, grad_w, grad_b
 
 
@@ -279,7 +295,7 @@ def tune(
     return best[0], best[1], evaluated
 
 
-def predict_matrix(params: ModelParams, matrix: FeatureMatrix, batch: int = 4096):
+def predict_matrix(params: ModelParams, matrix: FeatureMatrix):
     """Window and horizon probabilities for every row; shapes (n, C) and (n, C-1)."""
     if matrix.vocab_hash and params.vocab_hash and matrix.vocab_hash != params.vocab_hash:
         raise DataError("feature matrix was built with a different vocabulary than the model")
@@ -287,8 +303,8 @@ def predict_matrix(params: ModelParams, matrix: FeatureMatrix, batch: int = 4096
         raise DataError("feature matrix width does not match the model")
     n = len(matrix)
     s_out = np.empty((n, params.n_classes))
-    for lo in range(0, n, batch):
-        rows = np.arange(lo, min(lo + batch, n), dtype=np.int64)
+    for lo in range(0, n, PREDICT_BATCH_ROWS):
+        rows = np.arange(lo, min(lo + PREDICT_BATCH_ROWS, n), dtype=np.int64)
         flat, bounds = _gather(matrix.indices, matrix.indptr, rows)
         logits = _batch_logits(params.weights, params.bias, flat, bounds)
         s_out[lo : lo + rows.size] = _softmax_columns(logits).T

@@ -35,7 +35,7 @@ from . import features as feat_mod
 from . import model as model_mod
 from . import synth as synth_mod
 from . import triggers as trig_mod
-from .errors import ConfigError, DataError, ParseError, is_number
+from .errors import ConfigError, DataError, ParseError
 from .triggers import TASKS
 
 
@@ -156,9 +156,7 @@ def load_pipeline_config(
 
     split_raw = _object(raw.get("split", {}), "split")
     ratios = split_raw.get("ratios", (0.8, 0.1, 0.1))
-    numbers = isinstance(ratios, (list, tuple)) and all(map(is_number, ratios))
-    if not numbers or len(ratios) != 3:
-        raise ConfigError(f"split.ratios must be a list of three numbers, got {ratios!r}")
+    trig_mod.check_split_ratios(ratios)
     split_seed = _integer(split_raw.get("seed", seed + 1), "split.seed")
     if seed_override is not None:
         split_seed = seed_override + 1

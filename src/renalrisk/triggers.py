@@ -26,7 +26,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
 from .claims import ClaimTimeline, CodeSetLibrary, _iter_lines, first_occurrences
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, is_number
 
 TASKS = ("rrt", "dialysis", "transplant")
 
@@ -163,6 +163,17 @@ def enumerate_triggers(
     return out
 
 
+def check_split_ratios(ratios) -> None:
+    """Refuse anything but three non-negative numbers that sum to 1 (train, valid, test)."""
+    numbers = isinstance(ratios, (list, tuple)) and all(map(is_number, ratios))
+    if not numbers or len(ratios) != 3:
+        raise ConfigError(f"split.ratios must be a list of three numbers, got {ratios!r}")
+    if any(r < 0 for r in ratios):
+        raise ConfigError(f"need 3 non-negative split ratios, got {ratios!r}")
+    if not abs(sum(ratios) - 1.0) <= 1e-9:  # also refuses NaN
+        raise ConfigError(f"split ratios must sum to 1, got {ratios!r}")
+
+
 def split_beneficiaries(
     ids: Iterable[str],
     ratios: Sequence[float] = (0.8, 0.1, 0.1),
@@ -173,10 +184,7 @@ def split_beneficiaries(
     Each id is ranked by a salted hash so the assignment is independent of
     input order; cut points are the half-up-rounded cumulative ratios.
     """
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise ConfigError(f"need 3 non-negative split ratios, got {ratios!r}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"split ratios must sum to 1, got {ratios!r}")
+    check_split_ratios(ratios)
     ranked = sorted(
         set(ids),
         key=lambda i: (hashlib.sha256(f"{seed}|{i}".encode("utf-8")).hexdigest(), i),

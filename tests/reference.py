@@ -15,6 +15,11 @@ equivalence tests compare the two:
 - ``collect_active_keys``, ``featurize`` and ``build_vocabulary`` scan every
   claim of a timeline, one trigger at a time, against ``CompiledTimeline`` and
   ``vocabulary_from_counts``.
+- ``reference_batch_logits`` and ``reference_loss_and_grad`` are the sparse
+  kernel with a fresh array per step (fancy-indexed slab, cumulative sum,
+  zero column) and a per-nonzero row-id gather for the gradient, against the
+  in-place ``model._batch_logits`` and ``model.loss_and_grad``; the two must
+  agree bit for bit.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from datetime import date, timedelta
 from typing import Iterable
+
+import numpy as np
 
 from renalrisk.claims import (
     Claim,
@@ -45,6 +52,7 @@ from renalrisk.features import (
     race_key,
     sex_key,
 )
+from renalrisk.model import _gather, _log_softmax_true, _softmax_columns
 from renalrisk.triggers import HORIZON_DAYS, N_CLASSES, TASKS, IneligibilityReason, Trigger
 
 # -- claims and trigger rows --------------------------------------------------------
@@ -210,3 +218,38 @@ def featurize(timeline: ClaimTimeline, t: date, vocab: Vocabulary) -> tuple[int,
     return tuple(
         sorted(vocab.index[key] for key in collect_active_keys(timeline, t) if key in vocab)
     )
+
+
+# -- sparse kernel ------------------------------------------------------------------
+
+
+def reference_batch_logits(
+    weights: np.ndarray, bias: np.ndarray, flat: np.ndarray, bounds: np.ndarray
+) -> np.ndarray:
+    """Logits of a gathered batch, shape (n_classes, n_rows), from a zero-padded prefix sum."""
+    if flat.size == 0:
+        return np.broadcast_to(bias[:, None], (bias.size, bounds.size - 1)).copy()
+    csum = np.concatenate(
+        [np.zeros((weights.shape[0], 1)), np.cumsum(weights[:, flat], axis=1)], axis=1
+    )
+    return csum[:, bounds[1:]] - csum[:, bounds[:-1]] + bias[:, None]
+
+
+def reference_loss_and_grad(
+    weights: np.ndarray, bias: np.ndarray, matrix, y: np.ndarray, rows: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Batch cross-entropy and gradient, each nonzero reading its row's error by row id."""
+    flat, bounds = _gather(matrix.indices, matrix.indptr, rows)
+    logits = reference_batch_logits(weights, bias, flat, bounds)
+    yb = y[rows]
+    ce = -float(np.mean(_log_softmax_true(logits, yb)))
+    g = _softmax_columns(logits)
+    g[yb, np.arange(rows.size)] -= 1.0
+    g /= rows.size
+    grad_b = g.sum(axis=1)
+    grad_w = np.zeros_like(weights)
+    if flat.size:
+        expand = np.repeat(np.arange(rows.size), np.diff(bounds))
+        for c in range(weights.shape[0]):
+            grad_w[c] = np.bincount(flat, weights=g[c, expand], minlength=weights.shape[1])
+    return ce, grad_w, grad_b

@@ -5,7 +5,7 @@ import struct
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renalrisk.errors import DataError, NumericError
@@ -13,7 +13,9 @@ from renalrisk.features import FeatureMatrix
 from renalrisk.model import (
     HyperParams,
     ModelParams,
+    _batch_logits,
     _gather,
+    _log_softmax_true,
     load_model,
     loss,
     loss_and_grad,
@@ -24,6 +26,8 @@ from renalrisk.model import (
     tune,
     validation_loss,
 )
+
+from reference import reference_batch_logits, reference_loss_and_grad
 
 C = 6
 
@@ -132,6 +136,57 @@ def test_gather_matches_row_by_row_copy(data):
     flat, bounds = _gather(matrix.indices, matrix.indptr, rows)
     want_flat, want_bounds = reference_gather(matrix.indices, matrix.indptr, rows)
     assert flat.tolist() == want_flat and bounds.tolist() == want_bounds
+
+
+# -- kernel against its oracle ---------------------------------------------------
+
+
+@st.composite
+def sparse_batches(draw):
+    """(n_features, nonzeros per matrix row, batch row ids, seed); rows may be empty."""
+    n_features = draw(st.integers(1, 12))
+    sizes = draw(st.lists(st.integers(0, min(5, n_features)), min_size=1, max_size=10))
+    rows = draw(st.lists(st.integers(0, len(sizes) - 1), min_size=1, max_size=40))
+    return n_features, sizes, rows, draw(st.integers(0, 2**32 - 1))
+
+
+@given(sparse_batches())
+@example((6, [0, 3, 2], [0, 1, 2], 1))  # empty row at the head of the slab
+@example((6, [0, 0, 0, 4], [0, 1, 2, 3], 2))  # a run of empty rows at the head
+@example((6, [2, 0, 3], [0, 1, 2], 3))  # empty row in the middle
+@example((6, [2, 3, 0], [0, 1, 2], 4))  # empty row at the tail
+@example((6, [0, 0, 3], [1, 0], 5))  # all-empty batch
+@example((6, [4], [0], 6))  # one-row batch
+@example((6, [2, 0, 3], [2, 2, 1, 0, 2, 1], 7))  # repeated row ids
+@settings(max_examples=300, deadline=None)
+def test_kernel_is_bitwise_equal_to_the_oracle(batch):
+    n_features, sizes, row_ids, seed = batch
+    rng = np.random.default_rng(seed)
+    m = make_matrix(
+        [sorted(rng.choice(n_features, size=k, replace=False).tolist()) for k in sizes],
+        rng.integers(0, C, size=len(sizes)).tolist(),
+        n_features,
+    )
+    y = m.y["rrt"]
+    w = rng.normal(scale=rng.choice([1e-3, 1.0, 30.0]), size=(C, n_features))
+    w[rng.random(w.shape) < 0.3] = 0.0  # the L1 prox leaves exact zeros of either sign
+    w[rng.random(w.shape) < 0.2] = -0.0
+    b = rng.normal(size=C)
+    rows = np.asarray(row_ids, dtype=np.int64)
+
+    flat, bounds = _gather(m.indices, m.indptr, rows)
+    logits = _batch_logits(w, b, flat, bounds)
+    assert np.array_equal(logits, reference_batch_logits(w, b, flat, bounds))
+    ce, grad_w, grad_b = loss_and_grad(w, b, m, y, rows)
+    want_ce, want_w, want_b = reference_loss_and_grad(w, b, m, y, rows)
+    assert ce == want_ce
+    assert np.array_equal(grad_w, want_w)
+    assert np.array_equal(grad_b, want_b)
+    assert loss(ModelParams(w, b), m, y, rows=rows) == want_ce
+    whole = reference_batch_logits(w, b, *_gather(m.indices, m.indptr, np.arange(len(m))))
+    assert validation_loss(ModelParams(w, b), m, y) == -float(
+        np.mean(_log_softmax_true(whole, y))
+    )
 
 
 # -- loss ----------------------------------------------------------------------

@@ -345,6 +345,21 @@ def test_wrong_typed_config_value_is_a_config_error(tmp_path, capsys, field, val
     assert not (tmp_path / "run").exists()
 
 
+_BAD_RATIOS = {
+    "sum_below_one": [0.5, 0.2, 0.2],
+    "negative": [1.2, -0.1, -0.1],
+    "nan": [float("nan"), 0.5, 0.5],
+}
+
+
+@pytest.mark.parametrize("ratios", _BAD_RATIOS.values(), ids=_BAD_RATIOS.keys())
+def test_bad_split_ratios_fail_before_any_stage_runs(tmp_path, capsys, ratios):
+    path = write_config(tmp_path, split={"ratios": ratios})
+    assert main(["reproduce", "--config", str(path)]) == 1
+    assert "split ratios" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "claims.tsv").exists()
+
+
 def test_workers_validation():
     assert main(["synth", "--config", "x", "--workers", "0"]) == 1
 
