@@ -31,7 +31,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence, Union
 
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, DataError, ParseError, naming_file
 
 
 class Sex(str, Enum):
@@ -360,35 +360,36 @@ def iter_timelines(source: LineSource) -> Iterator[ClaimTimeline]:
     items: dict[str, CodedItem] = {}
     seen: set[str] = set()
     current: ClaimTimeline | None = None
-    for line_no, line in enumerate(_iter_lines(source), start=1):
-        line = line.rstrip("\n")
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        tag = fields[0]
-        if tag == "B":
-            bene = _parse_beneficiary(fields, line_no)
-            if bene.id in seen:
-                raise ParseError(line_no, f"duplicate beneficiary record {bene.id!r}")
-            seen.add(bene.id)
-            if current is not None:
-                current.sort()
-                yield current
-            current = ClaimTimeline(bene)
-        elif tag == "C":
-            claim = _parse_claim(fields, line_no, dates, types, items)
-            bid = claim.beneficiary_id
-            if current is None or bid != current.beneficiary.id:
-                if bid in seen:
-                    raise ParseError(
-                        line_no,
-                        f"claim of beneficiary {bid!r} does not follow its beneficiary "
-                        "record (claims must be grouped by beneficiary)",
-                    )
-                raise ParseError(line_no, f"claim references unknown beneficiary {bid!r}")
-            current.claims.append(claim)
-        else:
-            raise ParseError(line_no, f"unknown record tag {tag!r}")
-    if current is not None:
-        current.sort()
-        yield current
+    with naming_file(source):
+        for line_no, line in enumerate(_iter_lines(source), start=1):
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split("\t")
+            tag = fields[0]
+            if tag == "B":
+                bene = _parse_beneficiary(fields, line_no)
+                if bene.id in seen:
+                    raise ParseError(line_no, f"duplicate beneficiary record {bene.id!r}")
+                seen.add(bene.id)
+                if current is not None:
+                    current.sort()
+                    yield current
+                current = ClaimTimeline(bene)
+            elif tag == "C":
+                claim = _parse_claim(fields, line_no, dates, types, items)
+                bid = claim.beneficiary_id
+                if current is None or bid != current.beneficiary.id:
+                    if bid in seen:
+                        raise ParseError(
+                            line_no,
+                            f"claim of beneficiary {bid!r} does not follow its beneficiary "
+                            "record (claims must be grouped by beneficiary)",
+                        )
+                    raise ParseError(line_no, f"claim references unknown beneficiary {bid!r}")
+                current.claims.append(claim)
+            else:
+                raise ParseError(line_no, f"unknown record tag {tag!r}")
+        if current is not None:
+            current.sort()
+            yield current

@@ -4,8 +4,10 @@ The CLI maps these onto process exit codes: configuration problems exit 1,
 data problems exit 2, numeric failures exit 3.
 """
 
+from contextlib import contextmanager
 from dataclasses import fields
 from numbers import Integral, Real
+from os import PathLike
 
 
 class RenalRiskError(Exception):
@@ -25,11 +27,25 @@ class DataError(RenalRiskError):
 
 
 class ParseError(DataError):
-    """Malformed input line; carries the 1-based line number."""
+    """Malformed input line; carries the 1-based line number and, when known, the file."""
 
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, line_number: int, message: str, path: str | PathLike | None = None):
+        where = f"line {line_number}" if path is None else f"{path}: line {line_number}"
+        super().__init__(f"{where}: {message}")
         self.line_number = line_number
+        self.message = message
+        self.path = path
+
+
+@contextmanager
+def naming_file(source):
+    """Name source in a ParseError raised inside the block, when source is a file path."""
+    try:
+        yield
+    except ParseError as exc:
+        if exc.path is not None or not isinstance(source, (str, PathLike)):
+            raise
+        raise ParseError(exc.line_number, exc.message, source) from None
 
 
 class NumericError(RenalRiskError):

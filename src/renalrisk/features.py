@@ -19,16 +19,19 @@ import hashlib
 from bisect import bisect_right
 from datetime import date
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Union
+from typing import IO, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
 from .claims import ClaimTimeline, CodedItem, CodeSystem, Race, Sex, _iter_lines
-from .errors import DataError, ParseError
+from .errors import DataError, ParseError, naming_file
 from .triggers import N_CLASSES, TASKS
 
 BUCKET_EDGES = (30, 90, 365, 3650)
 N_BUCKETS = len(BUCKET_EDGES)
+# Bucket b holds the claims dated in [t - E[b+1] + 1, t - E[b]] for E = (1,) + BUCKET_EDGES,
+# so sorted claim days split at t minus these, oldest bucket first.
+_WINDOW_STARTS = np.asarray([e - 1 for e in reversed((1,) + BUCKET_EDGES)], dtype=np.int64)
 
 AGE_BUCKET_LABELS = ("65-74", "75-84", "85-94", "95plus")
 _AGE_EDGES = (75, 85, 95)
@@ -95,15 +98,16 @@ class Vocabulary:
     @classmethod
     def from_file(cls, source: Union[str, Path, IO[str]]) -> "Vocabulary":
         pairs = []
-        for line_no, line in enumerate(_iter_lines(source), start=1):
-            if not line.strip() or line.startswith("#"):
-                continue
-            key, _, idx = line.rstrip("\n").rpartition("\t")
-            if not key or not idx.isdecimal():
-                raise ParseError(
-                    line_no, f"bad vocabulary line {line[:80]!r} (expected key TAB index)"
-                )
-            pairs.append((key, int(idx)))
+        with naming_file(source):
+            for line_no, line in enumerate(_iter_lines(source), start=1):
+                if not line.strip() or line.startswith("#"):
+                    continue
+                key, _, idx = line.rstrip("\n").rpartition("\t")
+                if not key or not idx.isdecimal():
+                    raise ParseError(
+                        line_no, f"bad vocabulary line {line[:80]!r} (expected key TAB index)"
+                    )
+                pairs.append((key, int(idx)))
         vocab = cls(key for key, _ in pairs)
         if list(vocab.index.items()) != pairs:
             raise DataError("vocabulary file is not its sorted keys with dense indices 0..n-1")
@@ -146,11 +150,12 @@ class ClaimInterner:
 
 
 class CompiledTimeline:
-    """One timeline flattened to arrays for repeated trigger featurization.
+    """One timeline flattened to arrays for featurizing all of its triggers at once.
 
-    Yields exactly the same active keys as the reference featurizer in
-    tests/reference.py, but each trigger costs a few searchsorted calls over
-    precomputed arrays instead of a Python scan over all claims.
+    Yields exactly the same active keys as the reference featurizers in
+    tests/reference.py. One searchsorted finds every trigger's bucket windows;
+    each trigger then marks the items of its windows in a boolean mask that is
+    read back sorted and unique with flatnonzero and cleared for the next one.
     """
 
     __slots__ = ("sex", "race", "birth_year", "days", "item_ids", "claim_ptr")
@@ -170,23 +175,26 @@ class CompiledTimeline:
             interner.item_pair_ids([item for c in claims for item in c.items]), dtype=np.int64
         )
 
-    def active_pair_buckets(self, t: date) -> np.ndarray:
-        """Unique pair_id * N_BUCKETS + bucket values active at trigger t."""
-        t_ord = t.toordinal()
-        chunks = []
-        lo_edge = 1  # claims strictly before t only
-        for b, hi_edge in enumerate(BUCKET_EDGES):
-            # offsets in [lo_edge, hi_edge) => service days in [t-hi_edge+1, t-lo_edge]
-            lo = np.searchsorted(self.days, t_ord - hi_edge + 1, side="left")
-            hi = np.searchsorted(self.days, t_ord - lo_edge, side="right")
-            if hi > lo:
-                ids = self.item_ids[self.claim_ptr[lo] : self.claim_ptr[hi]]
-                if ids.size:
-                    chunks.append(ids * N_BUCKETS + b)
-            lo_edge = hi_edge
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(chunks))
+    def _windows(self, dates: Sequence[date]) -> list[list[int]]:
+        """Per trigger date, the item positions that bound buckets 3, 2, 1 and 0, in claim order."""
+        ords = np.fromiter((t.toordinal() for t in dates), dtype=np.int64, count=len(dates))
+        return self.claim_ptr[np.searchsorted(self.days, ords[:, None] - _WINDOW_STARTS)].tolist()
+
+    def active_pair_buckets(self, dates: Sequence[date]) -> list[np.ndarray]:
+        """Per trigger date, the sorted pair_id * N_BUCKETS + bucket values active there."""
+        pairs, local = np.unique(self.item_ids, return_inverse=True)
+        keys = (pairs[:, None] * N_BUCKETS + np.arange(N_BUCKETS)).ravel()
+        mask = np.zeros((pairs.size, N_BUCKETS), dtype=bool)  # (local pair, bucket)
+        flat = mask.ravel()
+        out = []
+        for bounds in self._windows(dates):
+            for j in range(N_BUCKETS):
+                if bounds[j] < bounds[j + 1]:
+                    mask[local[bounds[j] : bounds[j + 1]], N_BUCKETS - 1 - j] = True
+            active = np.flatnonzero(flat)
+            flat[active] = False
+            out.append(keys[active])
+        return out
 
     def demographic_columns(self, t: date, vocab: Vocabulary) -> list[int]:
         keys = (
@@ -196,11 +204,29 @@ class CompiledTimeline:
         )
         return [vocab.index[k] for k in keys if k in vocab.index]
 
-    def active_indices(self, t: date, vocab: Vocabulary, colmap: np.ndarray) -> np.ndarray:
-        cols = colmap[self.active_pair_buckets(t)]
-        cols = cols[cols >= 0]
-        dem = np.asarray(self.demographic_columns(t, vocab), dtype=np.int32)
-        return np.sort(np.concatenate([cols, dem]))
+    def active_indices(
+        self, dates: Sequence[date], vocab: Vocabulary, colmap: np.ndarray
+    ) -> list[np.ndarray]:
+        """Per trigger date, the sorted vocabulary columns of the row written for it."""
+        n = len(vocab)
+        # each item's column in each bucket; -1 (absent) lands in the sentinel slot n
+        item_cols = colmap[self.item_ids[:, None] * N_BUCKETS + np.arange(N_BUCKETS - 1, -1, -1)]
+        mask = np.zeros(n + 1, dtype=bool)
+        dem_by_year: dict[int, list[int]] = {}
+        out = []
+        for t, bounds in zip(dates, self._windows(dates)):
+            for j in range(N_BUCKETS):
+                if bounds[j] < bounds[j + 1]:
+                    mask[item_cols[bounds[j] : bounds[j + 1], j]] = True
+            dem = dem_by_year.get(t.year)
+            if dem is None:
+                dem = dem_by_year[t.year] = self.demographic_columns(t, vocab)
+            mask[dem] = True
+            mask[n] = False
+            active = np.flatnonzero(mask)
+            mask[active] = False
+            out.append(active)
+        return out
 
 
 def pair_bucket_key(interner: ClaimInterner, pair_bucket: int) -> str:
@@ -210,17 +236,18 @@ def pair_bucket_key(interner: ClaimInterner, pair_bucket: int) -> str:
 
 
 def vocabulary_from_counts(
-    counts: dict[int, int], interner: ClaimInterner, min_count: int = 1
+    counts: np.ndarray, interner: ClaimInterner, min_count: int = 1
 ) -> Vocabulary:
-    """Vocabulary from per-trigger pair-bucket occurrence counts.
+    """Vocabulary from the number of training triggers each pair-bucket key is active at.
 
-    Equivalent to the reference build_vocabulary() in tests/reference.py over
-    the same training triggers.
+    ``counts`` is indexed by pair_id * N_BUCKETS + bucket. Equivalent to the
+    reference build_vocabulary() in tests/reference.py over the same training
+    triggers: a key earns a column when it is active at min_count of them, and
+    never when at none.
     """
     keys = _all_demographic_keys()
-    keys.extend(
-        pair_bucket_key(interner, pb) for pb, c in counts.items() if c >= min_count
-    )
+    keep = np.flatnonzero(counts >= max(min_count, 1))
+    keys.extend(pair_bucket_key(interner, pb) for pb in keep.tolist())
     return Vocabulary(keys)
 
 
@@ -315,21 +342,22 @@ def _parse_indices(raw: str, line_no: int) -> np.ndarray:
 
 def iter_feature_rows(source) -> Iterator[tuple[str, str, dict[str, int], np.ndarray]]:
     """Parse a feature table; malformed rows raise ParseError with their line number."""
-    for line_no, line in enumerate(_iter_lines(source), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.rstrip("\n").split("\t")
-        if len(fields) != 3 + len(TASKS):
-            raise ParseError(line_no, f"bad feature row: {line[:80]!r}")
-        classes = {}
-        for task, raw in zip(TASKS, fields[2:-1]):
-            cls = _CLASSES.get(raw)
-            if cls is None:
-                raise ParseError(
-                    line_no, f"bad {task} class {raw!r} (expected 0..{len(_CLASSES) - 1})"
-                )
-            classes[task] = cls
-        yield fields[0], fields[1], classes, _parse_indices(fields[-1], line_no)
+    with naming_file(source):
+        for line_no, line in enumerate(_iter_lines(source), start=1):
+            if not line.strip() or line.startswith("#"):
+                continue
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 3 + len(TASKS):
+                raise ParseError(line_no, f"bad feature row: {line[:80]!r}")
+            classes = {}
+            for task, raw in zip(TASKS, fields[2:-1]):
+                cls = _CLASSES.get(raw)
+                if cls is None:
+                    raise ParseError(
+                        line_no, f"bad {task} class {raw!r} (expected 0..{len(_CLASSES) - 1})"
+                    )
+                classes[task] = cls
+            yield fields[0], fields[1], classes, _parse_indices(fields[-1], line_no)
 
 
 def read_feature_matrix(

@@ -20,7 +20,6 @@ import hashlib
 import json
 import os
 import time
-from collections import Counter
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, replace
 from datetime import date
@@ -35,7 +34,7 @@ from . import features as feat_mod
 from . import model as model_mod
 from . import synth as synth_mod
 from . import triggers as trig_mod
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, DataError, ParseError, naming_file
 from .triggers import TASKS
 
 
@@ -543,25 +542,28 @@ def _run_synth(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -> No
 
 def _run_triggers(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -> None:
     library = cfg.library()
-    start, end = cfg.trigger_range
+    mask_counts = np.zeros(trig_mod.N_REASON_MASKS, dtype=np.int64)
 
     def rows():
-        n_eligible = 0
         for timeline in claims_mod.iter_timelines(paths["claims"]):
-            for trig in trig_mod.enumerate_triggers(
-                timeline, (start, end), library, cfg.dataset_range[1]
-            ):
-                if trig.eligible:
-                    n_eligible += 1
-                yield trig_mod.trigger_row(trig)
-        print(f"triggers: {n_eligible} eligible")
+            block = trig_mod.enumerate_triggers(
+                timeline, cfg.trigger_range, library, cfg.dataset_range[1]
+            )
+            mask_counts[:] += np.bincount(block.reason_masks, minlength=trig_mod.N_REASON_MASKS)
+            if len(block):
+                yield "\n".join(block.lines())
 
     write_text_artifact(paths["triggers"], lineage, rows())
+    reasons = trig_mod.reason_counts(mask_counts)
+    print(
+        f"triggers: {int(mask_counts.sum())} candidates, {int(mask_counts[0])} eligible; "
+        "ineligible by reason: " + ", ".join(f"{r.value} {n}" for r, n in reasons.items())
+    )
 
 
 def _run_featurize(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -> None:
     # eligible trigger dates and labels per beneficiary
-    triggers_by_bid: dict[str, list[tuple[str, dict[str, int]]]] = {}
+    triggers_by_bid: dict[str, list[tuple[date, dict[str, int]]]] = {}
     all_ids: list[str] = []
     last_bid = None
     for trig in trig_mod.iter_trigger_rows(paths["triggers"]):
@@ -571,9 +573,7 @@ def _run_featurize(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -
         if not trig.eligible:
             continue
         classes = {task: trig.labels[task].index(1) for task in TASKS}
-        triggers_by_bid.setdefault(trig.beneficiary_id, []).append(
-            (trig.trigger_date.isoformat(), classes)
-        )
+        triggers_by_bid.setdefault(trig.beneficiary_id, []).append((trig.trigger_date, classes))
     train_ids, valid_ids, test_ids = trig_mod.split_beneficiaries(
         all_ids, cfg.split_ratios, cfg.split_seed
     )
@@ -599,13 +599,12 @@ def _run_featurize(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -
         if bid in triggers_by_bid:
             compiled[bid] = feat_mod.CompiledTimeline(timeline, interner)
 
-    counts: Counter[int] = Counter()
+    # training triggers per pair-bucket key; each active set holds a key once
+    counts = np.zeros(len(interner) * feat_mod.N_BUCKETS, dtype=np.int64)
     for bid, trigs in triggers_by_bid.items():
-        if bid not in train_ids:
-            continue
-        ct = compiled[bid]
-        for tdate, _ in trigs:
-            counts.update(ct.active_pair_buckets(date.fromisoformat(tdate)).tolist())
+        if bid in train_ids:
+            for active in compiled[bid].active_pair_buckets([t for t, _ in trigs]):
+                counts[active] += 1
     vocab = feat_mod.vocabulary_from_counts(counts, interner, cfg.min_count)
     vocab_hash = vocab.content_hash()
     write_text_artifact(paths["vocab"], lineage, vocab.lines())
@@ -621,10 +620,11 @@ def _run_featurize(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -
             split = split_of(bid)
             ct = compiled[bid]
             out = handles[split]
-            for tdate, classes in triggers_by_bid[bid]:
-                indices = ct.active_indices(date.fromisoformat(tdate), vocab, colmap)
-                out.write(feat_mod.feature_row(bid, tdate, classes, indices) + "\n")
-                n_rows[split] += 1
+            trigs = triggers_by_bid[bid]
+            rows = ct.active_indices([t for t, _ in trigs], vocab, colmap)
+            for (t, classes), indices in zip(trigs, rows):
+                out.write(feat_mod.feature_row(bid, t.isoformat(), classes, indices) + "\n")
+            n_rows[split] += len(trigs)
     print(
         f"featurize: vocab {len(vocab)} columns; rows "
         f"train={n_rows['train']} valid={n_rows['valid']} test={n_rows['test']}"
@@ -712,23 +712,24 @@ def read_predictions(path: Path) -> tuple[list[tuple[str, str]], np.ndarray, np.
     ids = []
     s_rows = []
     p_rows = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if line.startswith("#") or not line.strip():
-                continue
-            try:
-                bid, tdate, s_txt, p_txt = line.rstrip("\n").split("\t")
-                s_rows.append([float(v) for v in s_txt.split(",")])
-                p_rows.append([float(v) for v in p_txt.split(",")])
-                if len(s_rows[-1]) != n_classes or len(p_rows[-1]) != n_classes - 1:
-                    raise ValueError
-            except ValueError:
-                raise ParseError(
-                    line_no,
-                    f"bad prediction row {line[:80]!r} (expected id, date, {n_classes} "
-                    f"window scores and {n_classes - 1} horizon probabilities)",
-                )
-            ids.append((bid, tdate))
+    with naming_file(path):
+        with open(path, "r", encoding="utf-8") as handle:
+            for line_no, line in enumerate(handle, start=1):
+                if line.startswith("#") or not line.strip():
+                    continue
+                try:
+                    bid, tdate, s_txt, p_txt = line.rstrip("\n").split("\t")
+                    s_rows.append([float(v) for v in s_txt.split(",")])
+                    p_rows.append([float(v) for v in p_txt.split(",")])
+                    if len(s_rows[-1]) != n_classes or len(p_rows[-1]) != n_classes - 1:
+                        raise ValueError
+                except ValueError:
+                    raise ParseError(
+                        line_no,
+                        f"bad prediction row {line[:80]!r} (expected id, date, {n_classes} "
+                        f"window scores and {n_classes - 1} horizon probabilities)",
+                    )
+                ids.append((bid, tdate))
     return ids, np.asarray(s_rows), np.asarray(p_rows)
 
 

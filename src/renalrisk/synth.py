@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import calendar
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date, timedelta
 from typing import IO, Mapping
 
@@ -838,7 +838,7 @@ def generate(
     )
 
 
-def config_from_dict(raw: Mapping, seed_override: int | None = None) -> SynthConfig:
+def config_from_dict(raw: Mapping) -> SynthConfig:
     """Build a SynthConfig from parsed JSON, validating field names."""
     data = dict(raw)
     if "date_range" in data:
@@ -857,7 +857,5 @@ def config_from_dict(raw: Mapping, seed_override: int | None = None) -> SynthCon
     if "n_beneficiaries" not in data:
         raise ConfigError("synth config requires n_beneficiaries")
     cfg = SynthConfig(**data)
-    if seed_override is not None:
-        cfg = replace(cfg, seed=seed_override)
     cfg.validate()
     return cfg

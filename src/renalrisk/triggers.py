@@ -19,14 +19,16 @@ or transplant).
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date, timedelta
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .claims import ClaimTimeline, CodeSetLibrary, _iter_lines, first_occurrences
-from .errors import ConfigError, ParseError, is_number
+from .errors import ConfigError, ParseError, is_number, naming_file
 
 TASKS = ("rrt", "dialysis", "transplant")
 
@@ -104,28 +106,87 @@ def _facts(timeline: ClaimTimeline, library: CodeSetLibrary) -> _TimelineFacts:
     )
 
 
-def _eligibility(facts: _TimelineFacts, t: date) -> frozenset[IneligibilityReason]:
-    t_ord = t.toordinal()
-    reasons = set()
-    if t.year - facts.birth_year < 65:
-        reasons.add(IneligibilityReason.UNDER_65)
-    if facts.first_ckd is None or facts.first_ckd >= t_ord:
-        reasons.add(IneligibilityReason.NO_CKD_DX)
-    if facts.first_rrt is not None and facts.first_rrt <= t_ord:
-        reasons.add(IneligibilityReason.RRT_ALREADY_INITIATED)
-    days = facts.claim_ordinals
-    if not days or days[0] > t_ord - 365:
-        reasons.add(IneligibilityReason.INSUFFICIENT_HISTORY)
-    if bisect_left(days, t_ord - 30) >= bisect_left(days, t_ord):
-        reasons.add(IneligibilityReason.NO_RECENT_CLAIM)
-    return frozenset(reasons)
+# Bit k of a reason mask is set when the k-th IneligibilityReason holds; 0 is eligible.
+_REASONS = tuple(IneligibilityReason)
+N_REASON_MASKS = 1 << len(_REASONS)
+_REASON_SETS = tuple(
+    frozenset(r for k, r in enumerate(_REASONS) if mask >> k & 1) for mask in range(N_REASON_MASKS)
+)
+# What follows the date in the row of an ineligible trigger, per reason mask.
+# (Entry 0 goes unused: an eligible row carries its label bit strings instead.)
+_ROW_TAILS = tuple(
+    "\t0\t" + ",".join(sorted(r.value for r in reasons)) + "\t-" * len(TASKS)
+    for reasons in _REASON_SETS
+)
+_LABEL_BITS = tuple("".join(map(str, label)) for label in _ONE_HOT)
+_HORIZONS = np.asarray(HORIZON_DAYS, dtype=np.int64)
+# Stands in for an event that never happens: after every trigger, beyond every horizon.
+_NEVER = 1 << 40
 
 
-def _label_from_offset(offset: int | None) -> tuple[int, ...]:
-    cls = N_CLASSES - 1
-    if offset is not None and 1 <= offset <= HORIZON_DAYS[-1]:
-        cls = bisect_left(HORIZON_DAYS, offset)
-    return _ONE_HOT[cls]
+@dataclass(frozen=True)
+class _MonthGrid:
+    """The month-firsts of a trigger range as dates, ordinals, years and ISO strings."""
+
+    dates: tuple[date, ...]
+    ordinals: np.ndarray
+    years: np.ndarray
+    iso: tuple[str, ...]
+
+
+@lru_cache(maxsize=8)
+def _month_grid(start: date, end: date) -> _MonthGrid:
+    dates = tuple(month_firsts(start, end))
+    ordinals = np.asarray([t.toordinal() for t in dates], dtype=np.int64)
+    years = np.asarray([t.year for t in dates], dtype=np.int64)
+    ordinals.flags.writeable = years.flags.writeable = False  # shared by every timeline
+    return _MonthGrid(dates, ordinals, years, tuple(t.isoformat() for t in dates))
+
+
+class TriggerBlock:
+    """The candidate triggers of one beneficiary: one per month-first of the range.
+
+    ``reason_masks[i]`` holds the ineligibility reasons at month i as bits (0
+    means eligible), and ``classes[j, i]`` task j's class index there (read
+    only where eligible). Iterating yields one Trigger per month; the triggers
+    stage writes ``lines()`` and builds no Trigger.
+    """
+
+    __slots__ = ("beneficiary_id", "_grid", "reason_masks", "classes")
+
+    def __init__(self, beneficiary_id: str, grid: _MonthGrid, reason_masks, classes):
+        self.beneficiary_id = beneficiary_id
+        self._grid = grid
+        self.reason_masks = reason_masks
+        self.classes = classes
+
+    def __len__(self) -> int:
+        return len(self._grid.dates)
+
+    def __iter__(self) -> Iterator[Trigger]:
+        bid = self.beneficiary_id
+        for t, mask, classes in zip(
+            self._grid.dates, self.reason_masks.tolist(), self.classes.T.tolist()
+        ):
+            if mask:
+                yield Trigger(bid, t, False, _REASON_SETS[mask])
+            else:
+                labels = {task: _ONE_HOT[c] for task, c in zip(TASKS, classes)}
+                yield Trigger(bid, t, True, frozenset(), labels)
+
+    def lines(self) -> list[str]:
+        """One trigger-table row per month, without its newline."""
+        prefix = self.beneficiary_id + "\t"
+        out = []
+        for iso, mask, classes in zip(
+            self._grid.iso, self.reason_masks.tolist(), self.classes.T.tolist()
+        ):
+            if mask:
+                out.append(prefix + iso + _ROW_TAILS[mask])
+            else:
+                labels = "\t".join([_LABEL_BITS[c] for c in classes])
+                out.append(f"{prefix}{iso}\t1\t\t{labels}")
+        return out
 
 
 def enumerate_triggers(
@@ -133,11 +194,11 @@ def enumerate_triggers(
     trigger_range: tuple[date, date],
     library: CodeSetLibrary,
     dataset_end: date,
-) -> list[Trigger]:
+) -> TriggerBlock:
     """One candidate trigger per first-of-month in trigger_range, labeled.
 
     The last trigger must leave a full censoring buffer before dataset_end so
-    every label is fully observed.
+    every label is fully observed. All months are screened at once.
     """
     start, end = trigger_range
     max_horizon = HORIZON_DAYS[-1]
@@ -146,21 +207,35 @@ def enumerate_triggers(
             f"trigger range end {end} needs {max_horizon} days of buffer before "
             f"dataset end {dataset_end}"
         )
+    grid = _month_grid(start, end)
     facts = _facts(timeline, library)
-    out = []
-    for t in month_firsts(start, end):
-        reasons = _eligibility(facts, t)
-        if reasons:
-            out.append(Trigger(timeline.beneficiary.id, t, False, reasons))
-            continue
-        t_ord = t.toordinal()
-        labels = {}
-        for task in TASKS:
-            first = facts.first_by_task[task]
-            offset = None if first is None else first - t_ord
-            labels[task] = _label_from_offset(offset)
-        out.append(Trigger(timeline.beneficiary.id, t, True, frozenset(), labels))
-    return out
+    t = grid.ordinals
+    days = np.asarray(facts.claim_ordinals, dtype=np.int64)
+    first_day = days[0] if days.size else _NEVER
+    first_ckd = _NEVER if facts.first_ckd is None else facts.first_ckd
+    first_rrt = _NEVER if facts.first_rrt is None else facts.first_rrt
+    # a claim dated in [t - 30, t) is a recent one
+    recent = np.searchsorted(days, t - 30) < np.searchsorted(days, t)
+    reasons = (  # in the order of _REASONS
+        grid.years - facts.birth_year < 65,
+        first_ckd >= t,
+        first_rrt <= t,
+        first_day > t - 365,
+        ~recent,
+    )
+    masks = np.zeros(t.size, dtype=np.int64)
+    for k, holds in enumerate(reasons):
+        masks |= holds.astype(np.int64) << k
+    firsts = [facts.first_by_task[task] for task in TASKS]
+    offsets = np.asarray([_NEVER if f is None else f for f in firsts], dtype=np.int64)[:, None] - t
+    classes = np.where(offsets >= 1, np.searchsorted(_HORIZONS, offsets), N_CLASSES - 1)
+    return TriggerBlock(timeline.beneficiary.id, grid, masks, classes)
+
+
+def reason_counts(mask_counts: np.ndarray) -> dict[IneligibilityReason, int]:
+    """Candidates per ineligibility reason, from their count per reason mask."""
+    masks = np.arange(N_REASON_MASKS)
+    return {r: int(mask_counts[(masks >> k & 1) == 1].sum()) for k, r in enumerate(_REASONS)}
 
 
 def check_split_ratios(ratios) -> None:
@@ -205,23 +280,8 @@ def split_beneficiaries(
 # or "-" for ineligible triggers.
 
 
-def trigger_row(trigger: Trigger) -> str:
-    reasons = ",".join(sorted(r.value for r in trigger.reasons))
-    if trigger.eligible:
-        labels = [
-            "".join(str(v) for v in trigger.labels[task])  # type: ignore[index]
-            for task in TASKS
-        ]
-    else:
-        labels = ["-"] * len(TASKS)
-    return "\t".join(
-        [trigger.beneficiary_id, trigger.trigger_date.isoformat(), str(int(trigger.eligible)), reasons]
-        + labels
-    )
-
-
 # Each valid label bit string and its one-hot tuple, shared by every row that has it.
-_ONE_HOT_LABELS = {"".join(map(str, label)): label for label in _ONE_HOT}
+_ONE_HOT_LABELS = dict(zip(_LABEL_BITS, _ONE_HOT))
 
 
 def _parse_reasons(raw: str, line_no: int) -> frozenset[IneligibilityReason]:
@@ -271,7 +331,8 @@ def iter_trigger_rows(source) -> Iterator[Trigger]:
     """Parse a trigger table; malformed rows raise ParseError with their line number."""
     dates: dict[str, date] = {}
     reason_sets: dict[str, frozenset[IneligibilityReason]] = {}
-    for line_no, line in enumerate(_iter_lines(source), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        yield _parse_trigger(line, line_no, dates, reason_sets)
+    with naming_file(source):
+        for line_no, line in enumerate(_iter_lines(source), start=1):
+            if not line.strip() or line.startswith("#"):
+                continue
+            yield _parse_trigger(line, line_no, dates, reason_sets)

@@ -12,9 +12,15 @@ equivalence tests compare the two:
   set, rrt as the union of the dialysis and transplant sets.
 - ``brute_force_label`` scans every day offset after a trigger, against the
   labels of ``enumerate_triggers``.
+- ``reference_enumerate_triggers`` screens and labels one month at a time and
+  ``trigger_row`` formats one Trigger, against the per-beneficiary masks and
+  ``lines()`` of ``enumerate_triggers``.
 - ``collect_active_keys``, ``featurize`` and ``build_vocabulary`` scan every
   claim of a timeline, one trigger at a time, against ``CompiledTimeline`` and
   ``vocabulary_from_counts``.
+- ``reference_active_pair_buckets`` and ``reference_active_indices`` featurize
+  one trigger of a compiled timeline with eight ``searchsorted`` calls and
+  ``np.unique``, against the per-beneficiary set masks of ``CompiledTimeline``.
 - ``reference_batch_logits`` and ``reference_loss_and_grad`` are the sparse
   kernel with a fresh array per step (fancy-indexed slab, cumulative sum,
   zero column) and a per-nonzero row-id gather for the gradient, against the
@@ -24,7 +30,7 @@ equivalence tests compare the two:
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from datetime import date, timedelta
 from typing import Iterable
 
@@ -44,6 +50,8 @@ from renalrisk.claims import (
 from renalrisk.errors import DataError, ParseError
 from renalrisk.features import (
     BUCKET_EDGES,
+    N_BUCKETS,
+    CompiledTimeline,
     Vocabulary,
     _all_demographic_keys,
     age_bucket,
@@ -53,7 +61,17 @@ from renalrisk.features import (
     sex_key,
 )
 from renalrisk.model import _gather, _log_softmax_true, _softmax_columns
-from renalrisk.triggers import HORIZON_DAYS, N_CLASSES, TASKS, IneligibilityReason, Trigger
+from renalrisk.triggers import (
+    _ONE_HOT,
+    HORIZON_DAYS,
+    N_CLASSES,
+    TASKS,
+    IneligibilityReason,
+    Trigger,
+    _facts,
+    _TimelineFacts,
+    month_firsts,
+)
 
 # -- claims and trigger rows --------------------------------------------------------
 
@@ -121,6 +139,21 @@ def reference_parse_trigger_row(line: str) -> Trigger:
     return Trigger(bid, date.fromisoformat(date_raw), eligible, reasons, labels)
 
 
+def trigger_row(trigger: Trigger) -> str:
+    reasons = ",".join(sorted(r.value for r in trigger.reasons))
+    if trigger.eligible:
+        labels = [
+            "".join(str(v) for v in trigger.labels[task])  # type: ignore[index]
+            for task in TASKS
+        ]
+    else:
+        labels = ["-"] * len(TASKS)
+    return "\t".join(
+        [trigger.beneficiary_id, trigger.trigger_date.isoformat(), str(int(trigger.eligible)), reasons]
+        + labels
+    )
+
+
 # -- code sets and labels -------------------------------------------------------------
 
 
@@ -155,6 +188,53 @@ def brute_force_label(timeline: ClaimTimeline, t: date, codeset: CodeSet) -> tup
                 if offset <= hi:
                     return tuple(1 if i == k else 0 for i in range(N_CLASSES))
     return tuple(1 if i == N_CLASSES - 1 else 0 for i in range(N_CLASSES))
+
+
+def _eligibility(facts: _TimelineFacts, t: date) -> frozenset[IneligibilityReason]:
+    t_ord = t.toordinal()
+    reasons = set()
+    if t.year - facts.birth_year < 65:
+        reasons.add(IneligibilityReason.UNDER_65)
+    if facts.first_ckd is None or facts.first_ckd >= t_ord:
+        reasons.add(IneligibilityReason.NO_CKD_DX)
+    if facts.first_rrt is not None and facts.first_rrt <= t_ord:
+        reasons.add(IneligibilityReason.RRT_ALREADY_INITIATED)
+    days = facts.claim_ordinals
+    if not days or days[0] > t_ord - 365:
+        reasons.add(IneligibilityReason.INSUFFICIENT_HISTORY)
+    if bisect_left(days, t_ord - 30) >= bisect_left(days, t_ord):
+        reasons.add(IneligibilityReason.NO_RECENT_CLAIM)
+    return frozenset(reasons)
+
+
+def _label_from_offset(offset: int | None) -> tuple[int, ...]:
+    cls = N_CLASSES - 1
+    if offset is not None and 1 <= offset <= HORIZON_DAYS[-1]:
+        cls = bisect_left(HORIZON_DAYS, offset)
+    return _ONE_HOT[cls]
+
+
+def reference_enumerate_triggers(
+    timeline: ClaimTimeline,
+    trigger_range: tuple[date, date],
+    library: CodeSetLibrary,
+) -> list[Trigger]:
+    """One Trigger per first-of-month in trigger_range, each screened and labeled on its own."""
+    facts = _facts(timeline, library)
+    out = []
+    for t in month_firsts(*trigger_range):
+        reasons = _eligibility(facts, t)
+        if reasons:
+            out.append(Trigger(timeline.beneficiary.id, t, False, reasons))
+            continue
+        t_ord = t.toordinal()
+        labels = {}
+        for task in TASKS:
+            first = facts.first_by_task[task]
+            offset = None if first is None else first - t_ord
+            labels[task] = _label_from_offset(offset)
+        out.append(Trigger(timeline.beneficiary.id, t, True, frozenset(), labels))
+    return out
 
 
 # -- features -------------------------------------------------------------------------
@@ -218,6 +298,35 @@ def featurize(timeline: ClaimTimeline, t: date, vocab: Vocabulary) -> tuple[int,
     return tuple(
         sorted(vocab.index[key] for key in collect_active_keys(timeline, t) if key in vocab)
     )
+
+
+def reference_active_pair_buckets(compiled: CompiledTimeline, t: date) -> np.ndarray:
+    """Unique pair_id * N_BUCKETS + bucket values active at trigger t."""
+    t_ord = t.toordinal()
+    chunks = []
+    lo_edge = 1  # claims strictly before t only
+    for b, hi_edge in enumerate(BUCKET_EDGES):
+        # offsets in [lo_edge, hi_edge) => service days in [t-hi_edge+1, t-lo_edge]
+        lo = np.searchsorted(compiled.days, t_ord - hi_edge + 1, side="left")
+        hi = np.searchsorted(compiled.days, t_ord - lo_edge, side="right")
+        if hi > lo:
+            ids = compiled.item_ids[compiled.claim_ptr[lo] : compiled.claim_ptr[hi]]
+            if ids.size:
+                chunks.append(ids * N_BUCKETS + b)
+        lo_edge = hi_edge
+    if not chunks:
+        return np.empty(0, dtype=np.int64)
+    return np.unique(np.concatenate(chunks))
+
+
+def reference_active_indices(
+    compiled: CompiledTimeline, t: date, vocab: Vocabulary, colmap: np.ndarray
+) -> np.ndarray:
+    """Sorted vocabulary columns of trigger t: its in-vocabulary keys plus demographics."""
+    cols = colmap[reference_active_pair_buckets(compiled, t)]
+    cols = cols[cols >= 0]
+    dem = np.asarray(compiled.demographic_columns(t, vocab), dtype=np.int32)
+    return np.sort(np.concatenate([cols, dem]))
 
 
 # -- sparse kernel ------------------------------------------------------------------

@@ -16,7 +16,13 @@ import pytest
 
 from renalrisk.claims import CodeSystem, default_codeset_library, iter_timelines
 from renalrisk.evaluation import gmean_operating_point, roc_auc
-from renalrisk.features import ClaimInterner, CompiledTimeline, column_map, vocabulary_from_counts
+from renalrisk.features import (
+    N_BUCKETS,
+    ClaimInterner,
+    CompiledTimeline,
+    column_map,
+    vocabulary_from_counts,
+)
 from renalrisk.model import ModelParams, loss_and_grad, predict_matrix
 from renalrisk.pipeline import (
     STAGE_ORDER,
@@ -193,9 +199,11 @@ def test_criterion_5_no_future_leakage():
         tl = timeline_with(make_beneficiary("b1"), *history)
         interner = ClaimInterner()
         compiled = CompiledTimeline(tl, interner)
-        counts = {int(pb): 1 for pb in compiled.active_pair_buckets(t)}
+        counts = np.zeros(len(interner) * N_BUCKETS, dtype=np.int64)
+        (active,) = compiled.active_pair_buckets([t])
+        counts[active] = 1
         vocab = vocabulary_from_counts(counts, interner)
-        base = compiled.active_indices(t, vocab, column_map(vocab, interner))
+        (base,) = compiled.active_indices([t], vocab, column_map(vocab, interner))
         injected = [
             make_claim(
                 "b1",
@@ -206,7 +214,7 @@ def test_criterion_5_no_future_leakage():
         ]
         tl_plus = timeline_with(make_beneficiary("b1"), *(history + injected))
         compiled_plus = CompiledTimeline(tl_plus, interner)
-        plus = compiled_plus.active_indices(t, vocab, column_map(vocab, interner))
+        (plus,) = compiled_plus.active_indices([t], vocab, column_map(vocab, interner))
         if not np.array_equal(plus, base):
             violations += 1
     record(5, violations == 0, f"future-claim injection: {violations} violations in 10000 trials")

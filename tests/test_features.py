@@ -1,10 +1,10 @@
 import json
 import re
-from collections import Counter
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renalrisk.claims import Race, Sex
@@ -18,13 +18,20 @@ from renalrisk.features import (
     age_bucket,
     column_map,
     iter_feature_rows,
+    pair_bucket_key,
     read_feature_matrix,
     vocabulary_from_counts,
 )
 from renalrisk.pipeline import load_pipeline_config, run_stage
 
 from conftest import make_beneficiary, make_claim, timeline_with
-from reference import build_vocabulary, featurize
+from reference import (
+    build_vocabulary,
+    collect_active_keys,
+    featurize,
+    reference_active_indices,
+    reference_active_pair_buckets,
+)
 
 T = date(2014, 1, 1)
 
@@ -36,11 +43,11 @@ def _tl(*claims, bene=None):
 def _build_vocabulary(training, min_count=1):
     """The featurize stage's vocabulary: pair-bucket counts over compiled timelines."""
     interner = ClaimInterner()
-    counts = Counter()
-    for timeline, dates in training:
-        compiled = CompiledTimeline(timeline, interner)
-        for t in dates:
-            counts.update(compiled.active_pair_buckets(t).tolist())
+    compiled = [(CompiledTimeline(timeline, interner), dates) for timeline, dates in training]
+    counts = np.zeros(len(interner) * N_BUCKETS, dtype=np.int64)
+    for timeline, dates in compiled:
+        for active in timeline.active_pair_buckets(dates):
+            counts[active] += 1
     return vocabulary_from_counts(counts, interner, min_count)
 
 
@@ -52,7 +59,8 @@ def _features(timeline, vocab, t=T):
     """The column indices the featurize stage writes for timeline at t."""
     interner = ClaimInterner()
     compiled = CompiledTimeline(timeline, interner)
-    return tuple(compiled.active_indices(t, vocab, column_map(vocab, interner)).tolist())
+    (row,) = compiled.active_indices([t], vocab, column_map(vocab, interner))
+    return tuple(row.tolist())
 
 
 def _active_keys(timeline, t=T):
@@ -65,7 +73,7 @@ def _active_keys(timeline, t=T):
 def test_day_bucket_boundaries():
     def day_bucket(offset):
         tl = _tl(make_claim("b1", T - timedelta(days=offset), [("CPT", "1")]))
-        buckets = CompiledTimeline(tl, ClaimInterner()).active_pair_buckets(T)
+        (buckets,) = CompiledTimeline(tl, ClaimInterner()).active_pair_buckets([T])
         assert buckets.size <= 1
         return int(buckets[0]) % N_BUCKETS if buckets.size else None
 
@@ -255,6 +263,72 @@ def test_compiled_path_matches_reference_featurize(events, age):
     tl = timeline_with(bene, *claims)
     vocab = build_vocabulary([(tl, [T])])
     assert _features(tl, vocab) == featurize(tl, T, vocab)
+
+
+# -- per-beneficiary featurization against the per-trigger oracle -----------------
+
+_TRIGGER_DATES = [date(2012 + m // 12, m % 12 + 1, 1) for m in range(0, 48, 5)]
+# Day offsets before a trigger at the bucket edges; 0 is the trigger date itself.
+_BUCKET_OFFSETS = (0, 1, 29, 30, 89, 90, 364, 365, 3649, 3650, -1)
+_items = st.lists(st.tuples(st.sampled_from(["CPT", "ICD10_DX", "HCC"]), _codes), max_size=3)
+
+
+@st.composite
+def featurized_timelines(draw, bid="b1"):
+    """A timeline and its eligible trigger dates; claims may carry no items at all."""
+    dates = sorted(set(draw(st.lists(st.sampled_from(_TRIGGER_DATES), min_size=1, max_size=6))))
+    claims = [
+        make_claim(bid, t - timedelta(days=offset), items)
+        for t, offset, items in draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(dates),
+                    st.one_of(st.sampled_from(_BUCKET_OFFSETS), st.integers(-100, 3700)),
+                    _items,
+                ),
+                max_size=12,
+            )
+        )
+    ]
+    # 1947 turns 65 in 2012; 1918 crosses into the 95plus bucket in 2013
+    bene = make_beneficiary(bid, birth_year=draw(st.sampled_from((1918, 1935, 1947))))
+    return timeline_with(bene, *claims), dates
+
+
+def _arrays_equal(got, want):
+    return len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@given(featurized_timelines())
+@example((_tl(bene=make_beneficiary(birth_year=1947)), [date(2012, 1, 1), date(2012, 6, 1)]))
+@example((_tl(make_claim("b1", T, [("CPT", "A")]), make_claim("b1", T - timedelta(days=40))), [T]))
+@settings(max_examples=300, deadline=None)
+def test_per_beneficiary_sets_equal_the_per_trigger_reference(case):
+    timeline, dates = case
+    interner = ClaimInterner()
+    compiled = CompiledTimeline(timeline, interner)
+    buckets = compiled.active_pair_buckets(dates)
+    assert _arrays_equal(buckets, [reference_active_pair_buckets(compiled, t) for t in dates])
+    for t, active in zip(dates, buckets):
+        coded = {k for k in collect_active_keys(timeline, t) if k.startswith("code/")}
+        assert {pair_bucket_key(interner, pb) for pb in active.tolist()} == coded
+    # a vocabulary from the first trigger only, so later triggers have unseen keys
+    vocab = build_vocabulary([(timeline, dates[:1])])
+    colmap = column_map(vocab, interner)
+    rows = compiled.active_indices(dates, vocab, colmap)
+    want = [reference_active_indices(compiled, t, vocab, colmap) for t in dates]
+    assert _arrays_equal(rows, want)
+    assert [tuple(row.tolist()) for row in rows] == [featurize(timeline, t, vocab) for t in dates]
+
+
+@given(
+    st.lists(featurized_timelines(), min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=100, deadline=None)
+def test_array_count_vocabulary_equals_build_vocabulary(training, min_count):
+    vocab = _build_vocabulary(training, min_count)
+    assert vocab.index == build_vocabulary(training, min_count).index
 
 
 def test_vocabulary_file_round_trip(tmp_path):

@@ -27,7 +27,7 @@ from renalrisk.claims import (
 from renalrisk.errors import DataError
 from renalrisk.evaluation import access_before_onset
 from renalrisk.features import ClaimInterner, CompiledTimeline
-from renalrisk.triggers import TASKS, _facts, enumerate_triggers, iter_trigger_rows, trigger_row
+from renalrisk.triggers import TASKS, _facts, enumerate_triggers, iter_trigger_rows
 
 from conftest import make_beneficiary, make_claim, timeline_with, timelines_by_id
 from reference import (
@@ -237,11 +237,11 @@ def test_item_pair_ids_match_pair_id_for_shared_and_distinct_items():
 @settings(max_examples=60, deadline=None)
 def test_interned_trigger_reader_equals_reference(timelines):
     rows = [
-        trigger_row(trig)
+        row
         for timeline in timelines
-        for trig in enumerate_triggers(
+        for row in enumerate_triggers(
             timeline, (date(2012, 3, 1), date(2013, 6, 1)), LIB, date(2016, 12, 31)
-        )
+        ).lines()
     ]
     assert list(iter_trigger_rows(rows)) == [reference_parse_trigger_row(r) for r in rows]
 

@@ -162,7 +162,23 @@ def test_featurize_refuses_a_malformed_trigger_row(completed_run, tmp_path, caps
     capsys.readouterr()
     assert main(["featurize", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: line {at + 1}: bad trigger_date '2013-13-01'")
+    assert err.startswith(f"error: {triggers}: line {at + 1}: bad trigger_date '2013-13-01'")
+    assert "Traceback" not in err
+    assert not list(workdir.glob("*.tmp"))
+
+
+def test_featurize_names_a_truncated_trigger_table(completed_run, tmp_path, capsys):
+    workdir, cfg_path = _copy_of_run(completed_run, tmp_path)
+    triggers = workdir / "triggers.tsv"
+    lines = triggers.read_text().splitlines(keepends=True)
+    last = max(i for i, line in enumerate(lines) if line.split("\t")[2:3] == ["1"])
+    cut = lines[last].rstrip("\n")[:-1]  # mid-line: the transplant label loses its last bit
+    triggers.write_text("".join(lines[:last]) + cut)
+    capsys.readouterr()
+    assert main(["featurize", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    label = cut.rsplit("\t", 1)[1]
+    assert err.startswith(f"error: {triggers}: line {last + 1}: bad transplant label {label!r}")
     assert "Traceback" not in err
     assert not list(workdir.glob("*.tmp"))
 
@@ -210,7 +226,8 @@ def test_train_refuses_a_malformed_feature_row(
     capsys.readouterr()
     assert main(["train", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: line {line_no}: {message}")
+    features = workdir / "features_train.tsv"
+    assert err.startswith(f"error: {features}: line {line_no}: {message}")
     assert "Traceback" not in err
     assert not list(workdir.glob("*.tmp"))
 
@@ -241,7 +258,8 @@ def test_evaluate_refuses_a_malformed_prediction_row(completed_run, tmp_path, ca
     capsys.readouterr()
     assert main(["evaluate", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: line {line_no}: bad prediction row")
+    predictions = workdir / "predictions_rrt.tsv"
+    assert err.startswith(f"error: {predictions}: line {line_no}: bad prediction row")
     assert "Traceback" not in err
 
 

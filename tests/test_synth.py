@@ -185,8 +185,7 @@ def test_config_from_dict_rejects_unknown_fields():
 
 def test_config_from_dict_parses_dates_and_seed_override():
     cfg = config_from_dict(
-        {"n_beneficiaries": 10, "date_range": ["2011-01-01", "2016-12-31"]},
-        seed_override=42,
+        {"n_beneficiaries": 10, "date_range": ["2011-01-01", "2016-12-31"], "seed": 42}
     )
     assert cfg.seed == 42
     assert cfg.date_range[0] == date(2011, 1, 1)

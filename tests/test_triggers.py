@@ -1,7 +1,7 @@
 from datetime import date, timedelta
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renalrisk.claims import default_codeset_library
@@ -13,11 +13,16 @@ from renalrisk.triggers import (
     iter_trigger_rows,
     month_firsts,
     split_beneficiaries,
-    trigger_row,
 )
 
 from conftest import make_beneficiary, make_claim, monthly_claims, timeline_with
-from reference import brute_force_label, first_occurrence, task_codeset
+from reference import (
+    brute_force_label,
+    first_occurrence,
+    reference_enumerate_triggers,
+    task_codeset,
+    trigger_row,
+)
 
 LIB = default_codeset_library()
 DATASET_END = date(2016, 12, 31)
@@ -36,7 +41,7 @@ def eligibility(timeline, t):
 
 
 def test_48_monthly_triggers_in_study_range(eligible_timeline):
-    triggers = enumerate_triggers(eligible_timeline, RANGE, LIB, DATASET_END)
+    triggers = list(enumerate_triggers(eligible_timeline, RANGE, LIB, DATASET_END))
     assert len(triggers) == 48
     assert all(t.trigger_date.day == 1 for t in triggers)
     assert triggers[0].trigger_date == date(2012, 1, 1)
@@ -157,6 +162,62 @@ def test_ckd_code_must_precede_trigger():
     assert ok
 
 
+# -- per-beneficiary blocks against the per-month oracle ---------------------------
+
+SCREEN_RANGE = (date(2012, 1, 1), date(2013, 12, 1))
+_SCREEN_MONTHS = month_firsts(*SCREEN_RANGE)
+# Day offsets before (positive) and after (negative) a month-first at the edges of
+# the recent-claim, history, feature-bucket and label windows.
+_EDGE_OFFSETS = (0, 1, 29, 30, 31, 89, 90, 364, 365, 366, 3649, 3650,
+                 -1, -30, -31, -60, -61, -90, -180, -181, -365, -366)
+CKD, DIALYSIS, TRANSPLANT, OTHER = (
+    ("ICD10_DX", "N183"), ("CPT", "90951"), ("CPT", "50360"), ("CPT", "11111")
+)
+
+
+def _screening_timeline(birth_year, n_monthly, events):
+    """Monthly uncoded claims from 2010-12 on, plus (month index, offset, item) events."""
+    claims = monthly_claims("b1", date(2010, 12, 1), n_monthly, items=())
+    for month, offset, item in events:
+        claims.append(make_claim("b1", _SCREEN_MONTHS[month] - timedelta(days=offset), [item]))
+    return timeline_with(make_beneficiary("b1", birth_year=birth_year), *claims)
+
+
+@st.composite
+def screening_timelines(draw):
+    events = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(_SCREEN_MONTHS) - 1),
+                st.one_of(st.sampled_from(_EDGE_OFFSETS), st.integers(-400, 800)),
+                st.sampled_from((CKD, DIALYSIS, TRANSPLANT, OTHER)),
+            ),
+            max_size=8,
+        )
+    )
+    if draw(st.booleans()):
+        events.append((0, 400, CKD))  # CKD before every trigger, so that most can be eligible
+    # 1947 and 1948 turn 65 inside the range
+    birth_year = draw(st.sampled_from((1930, 1947, 1948, 1960)))
+    return _screening_timeline(birth_year, draw(st.integers(0, 45)), events)
+
+
+@given(screening_timelines())
+@example(timeline_with(make_beneficiary("b1")))  # no claims at all
+@example(_screening_timeline(1940, 40, [(6, 0, CKD)]))  # first_ckd == t
+@example(_screening_timeline(1940, 40, [(0, 400, CKD), (6, 0, DIALYSIS)]))  # first_rrt == t
+@example(_screening_timeline(1940, 40, [(0, 400, CKD), (6, 0, TRANSPLANT)]))
+@example(_screening_timeline(1947, 40, [(0, 400, CKD)]))  # age exactly 65 through 2012
+@example(_screening_timeline(1940, 0, [(0, 400, CKD), (6, 0, OTHER), (9, 30, OTHER)]))
+@settings(max_examples=300, deadline=None)
+def test_block_equals_the_per_month_reference(timeline):
+    block = enumerate_triggers(timeline, SCREEN_RANGE, LIB, DATASET_END)
+    reference = reference_enumerate_triggers(timeline, SCREEN_RANGE, LIB)
+    assert len(block) == len(reference) == len(_SCREEN_MONTHS)
+    assert list(block) == reference
+    assert block.lines() == [trigger_row(trig) for trig in reference]
+
+
 # -- labels -------------------------------------------------------------------
 
 
@@ -264,8 +325,8 @@ def test_split_is_always_a_partition(ids, seed):
 
 
 def test_trigger_row_round_trip(eligible_timeline):
-    triggers = enumerate_triggers(eligible_timeline, RANGE, LIB, DATASET_END)
-    assert list(iter_trigger_rows([trigger_row(trig) for trig in triggers])) == triggers
+    block = enumerate_triggers(eligible_timeline, RANGE, LIB, DATASET_END)
+    assert list(iter_trigger_rows(block.lines())) == list(block)
 
 
 def test_month_firsts_mid_month_start():
@@ -276,7 +337,7 @@ def test_month_firsts_mid_month_start():
 def test_enumeration_idempotent(eligible_timeline):
     a = enumerate_triggers(eligible_timeline, RANGE, LIB, DATASET_END)
     b = enumerate_triggers(eligible_timeline, RANGE, LIB, DATASET_END)
-    assert a == b
+    assert list(a) == list(b) and a.lines() == b.lines()
 
 
 def test_no_eligible_trigger_at_or_after_first_rrt():
