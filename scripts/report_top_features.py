@@ -13,14 +13,16 @@ import numpy as np
 
 from renalrisk.features import Vocabulary
 from renalrisk.model import load_model
+from renalrisk.triggers import HORIZON_DAYS, TASKS
 
-WINDOW_NAMES = ["0-30d", "30-60d", "60-90d", "90-180d", "180-365d", "no event"]
+_EDGES = (0,) + HORIZON_DAYS
+WINDOW_NAMES = [f"{lo}-{hi}d" for lo, hi in zip(_EDGES, _EDGES[1:])] + ["no event"]
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("workdir", help="pipeline work directory")
-    parser.add_argument("--task", default="rrt", choices=["rrt", "dialysis", "transplant"])
+    parser.add_argument("--task", default="rrt", choices=TASKS)
     parser.add_argument("--top", type=int, default=12)
     args = parser.parse_args()
 

@@ -2,11 +2,9 @@
 
 from .claims import (
     Beneficiary,
-    Claim,
     ClaimTimeline,
     CodeSet,
     CodeSetLibrary,
-    CodedItem,
     CodeSystem,
     default_codeset_library,
     iter_timelines,

@@ -1,4 +1,4 @@
-"""Domain model for beneficiaries, coded claims, and per-beneficiary timelines.
+"""Beneficiaries, code sets, and the columnar claims timeline of each beneficiary.
 
 The on-disk claims format is line-delimited UTF-8 text with tab-separated
 fields. Two record kinds are distinguished by a leading tag:
@@ -11,25 +11,26 @@ carry zero or more ``SYSTEM:code`` items. Each beneficiary's claims directly
 follow its beneficiary record. Blank lines and lines starting with ``#`` are
 ignored. The reader (``iter_timelines``) rejects unknown tags.
 
-Each read interns its tokens: the first time a ``SYSTEM:code`` token, a
-service-date string or a claim type appears in a read, it is validated and
-turned into its ``CodedItem``, ``date`` or ``ClaimType`` value; later
-occurrences in the same read reuse that immutable value. A claims file holds
-few distinct tokens and many repeats, so most of the per-token validation and
-object construction drops out. The intern tables live only as long as the
-read, and every claim still gets its own ``items`` list.
+The reader parses each beneficiary straight into columns: the claims' day
+ordinals in date order, and a CSR of item pair ids (``claim_ptr`` bounds each
+claim's slice of ``pair_ids``). A pair id numbers a ``(CodeSystem, code)``
+pair in the ``PairTable`` of the read, in first-seen order, so ids mean
+something only inside one read. Each distinct service date, claim type and
+``SYSTEM:code`` token is validated on the first line it appears on and looked
+up after that. Claim types are validated but not kept: nothing downstream
+reads them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from functools import lru_cache
-from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence, Union
+
+import numpy as np
 
 from .errors import ConfigError, DataError, ParseError, naming_file
 
@@ -108,47 +109,12 @@ class Beneficiary:
             raise DataError(f"beneficiary {self.id}: death_date precedes enrollment_date")
 
 
-@dataclass(frozen=True, slots=True)
-class CodedItem:
-    system: CodeSystem
-    code: str
-
-
-@dataclass(slots=True)
-class Claim:
-    beneficiary_id: str
-    service_date: date
-    claim_type: ClaimType
-    items: list[CodedItem] = field(default_factory=list)
-
-
-_service_date = attrgetter("service_date")
-
-
-@dataclass(slots=True)
-class ClaimTimeline:
-    """A beneficiary's claims in ascending service-date order.
-
-    Equal-date claims keep their input order (stable sort), so a timeline is
-    reproducible from any permutation of the input lines up to such ties.
-    """
-
-    beneficiary: Beneficiary
-    claims: list[Claim] = field(default_factory=list)
-
-    def sort(self) -> None:
-        self.claims.sort(key=_service_date)
-
-
 @dataclass(frozen=True)
 class CodeSet:
     """Named set of (system, code) pairs, e.g. the dialysis procedure codes."""
 
     name: str
     codes: frozenset[tuple[CodeSystem, str]]
-
-    def __contains__(self, item: CodedItem) -> bool:
-        return (item.system, item.code) in self.codes
 
 
 # Shipped defaults. Clinical definitions are configuration, not code: any of
@@ -219,14 +185,67 @@ def load_codeset_library(path: Union[str, Path, None]) -> CodeSetLibrary:
     return _library_from_dict(raw)
 
 
-@lru_cache(maxsize=16)
-def _code_index(codesets: tuple[CodeSet, ...]) -> dict[str, tuple[tuple[CodeSystem, int], ...]]:
-    """code -> (system, position in codesets) for every pair of every set; read-only."""
-    index: dict[str, list[tuple[CodeSystem, int]]] = {}
-    for k, codeset in enumerate(codesets):
-        for system, code in codeset.codes:
-            index.setdefault(code, []).append((system, k))
-    return {code: tuple(hits) for code, hits in index.items()}
+_NO_FLAGS = np.zeros(0, dtype=bool)
+
+
+class PairTable:
+    """The (CodeSystem, code) pairs of one claims read, numbered in first-seen order.
+
+    Every timeline of a read shares its table. ``members`` answers code-set
+    membership with one boolean array per set over the pair ids, computed once
+    per read and extended when the read interns new pairs.
+    """
+
+    __slots__ = ("pairs", "by_token", "_members")
+
+    def __init__(self):
+        self.pairs: list[tuple[CodeSystem, str]] = []
+        self.by_token: dict[str, int] = {}  # SYSTEM:code token -> pair id
+        self._members: dict[CodeSet, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def intern(self, token: str, line_no: int) -> int:
+        """The pair id of a SYSTEM:code token; a token new to the read is validated first."""
+        pid = self.by_token.get(token)
+        if pid is not None:
+            return pid
+        system_raw, sep, code = token.partition(":")
+        if not sep or not code:
+            raise ParseError(line_no, f"bad item {token!r} (expected SYSTEM:code)")
+        try:
+            system = CodeSystem(system_raw)
+        except ValueError:
+            raise ParseError(line_no, f"unknown code system {system_raw!r}")
+        pid = self.by_token[token] = len(self.pairs)
+        self.pairs.append((system, code))
+        return pid
+
+    def members(self, codeset: CodeSet) -> np.ndarray:
+        """Per pair id of this read, whether the pair is in codeset."""
+        flags = self._members.get(codeset, _NO_FLAGS)
+        if flags.size < len(self.pairs):
+            new = [pair in codeset.codes for pair in self.pairs[flags.size :]]
+            flags = self._members[codeset] = np.concatenate([flags, np.asarray(new, dtype=bool)])
+        return flags
+
+
+@dataclass(eq=False, slots=True)
+class ClaimTimeline:
+    """A beneficiary's claims as columns, in ascending service-date order.
+
+    Claim k is dated ``days[k]`` (a day ordinal) and carries the items
+    ``pair_ids[claim_ptr[k] : claim_ptr[k + 1]]``, numbered in ``pairs``.
+    Equal-date claims keep their input order (stable sort), so a timeline is
+    reproducible from any permutation of the input lines up to such ties.
+    """
+
+    beneficiary: Beneficiary
+    days: np.ndarray  # int64, ascending
+    claim_ptr: np.ndarray  # int64, len(days) + 1 entries
+    pair_ids: np.ndarray  # int64
+    pairs: PairTable
 
 
 def first_occurrences(
@@ -234,22 +253,16 @@ def first_occurrences(
 ) -> list[date | None]:
     """Per code set, the earliest service date of a claim carrying one of its codes.
 
-    One scan of the timeline serves every set; None where no claim matches.
+    None where no claim matches.
     """
-    index = _code_index(tuple(codesets))
-    firsts: list[date | None] = [None] * len(codesets)
-    pending = len(codesets)
-    for claim in timeline.claims:
-        for item in claim.items:
-            hits = index.get(item.code)
-            if hits is None:
-                continue
-            for system, k in hits:
-                if firsts[k] is None and system == item.system:
-                    firsts[k] = claim.service_date
-                    pending -= 1
-        if not pending:
-            break
+    firsts: list[date | None] = []
+    for codeset in codesets:
+        hits = np.flatnonzero(timeline.pairs.members(codeset)[timeline.pair_ids])
+        if hits.size:
+            claim = np.searchsorted(timeline.claim_ptr, hits[0], side="right") - 1
+            firsts.append(date.fromordinal(int(timeline.days[claim])))
+        else:
+            firsts.append(None)
     return firsts
 
 
@@ -303,47 +316,21 @@ def _parse_beneficiary(fields: list[str], line_no: int) -> Beneficiary:
     return bene
 
 
-def _parse_item(token: str, line_no: int) -> CodedItem:
-    system_raw, sep, code = token.partition(":")
-    if not sep or not code:
-        raise ParseError(line_no, f"bad item {token!r} (expected SYSTEM:code)")
-    try:
-        system = CodeSystem(system_raw)
-    except ValueError:
-        raise ParseError(line_no, f"unknown code system {system_raw!r}")
-    return CodedItem(system, code)
-
-
-def _parse_claim(
-    fields: list[str],
-    line_no: int,
-    dates: dict[str, date],
-    types: dict[str, ClaimType],
-    items: dict[str, CodedItem],
-) -> Claim:
-    """Parse one claim record, interning its values in the read's tables.
-
-    A raw value is validated on the first line it appears on and looked up
-    after that, so errors carry the line number and message a per-token parse
-    would give them.
-    """
-    if len(fields) < 4:
-        raise ParseError(line_no, f"claim record needs at least 4 fields, got {len(fields)}")
-    _, bid, date_raw, type_raw = fields[:4]
-    if not bid:
-        raise ParseError(line_no, "claim with empty beneficiary_id")
-    if date_raw not in dates:
-        dates[date_raw] = _parse_date(date_raw, line_no, "service_date")
-    if type_raw not in types:
-        try:
-            types[type_raw] = ClaimType(type_raw)
-        except ValueError:
-            raise ParseError(line_no, f"bad claim_type {type_raw!r}")
-    tokens = fields[4:]
-    for token in tokens:
-        if token not in items:
-            items[token] = _parse_item(token, line_no)
-    return Claim(bid, dates[date_raw], types[type_raw], [items[token] for token in tokens])
+def _timeline(
+    bene: Beneficiary, days: list[int], ptr: list[int], ids: list[int], pairs: PairTable
+) -> ClaimTimeline:
+    """Columns of one beneficiary's claims, in input order, sorted stably by date."""
+    day_arr = np.array(days, dtype=np.int64)
+    ptr_arr = np.array(ptr, dtype=np.int64)
+    id_arr = np.array(ids, dtype=np.int64)
+    if (day_arr[1:] < day_arr[:-1]).any():
+        order = np.argsort(day_arr, kind="stable")
+        sizes = np.diff(ptr_arr)[order]
+        starts = ptr_arr[:-1][order]
+        day_arr = day_arr[order]
+        np.cumsum(sizes, out=ptr_arr[1:])
+        id_arr = id_arr[np.repeat(starts - ptr_arr[:-1], sizes) + np.arange(id_arr.size)]
+    return ClaimTimeline(bene, day_arr, ptr_arr, id_arr, pairs)
 
 
 def iter_timelines(source: LineSource) -> Iterator[ClaimTimeline]:
@@ -351,15 +338,20 @@ def iter_timelines(source: LineSource) -> Iterator[ClaimTimeline]:
 
     Each beneficiary's claims must directly follow its B record; a claim of an
     earlier beneficiary is a ParseError, as are duplicate beneficiary records
-    and claims for an id with no beneficiary record. Beneficiaries without
-    claims get empty timelines.
+    and claims for an id with no beneficiary record. A claim's date, type and
+    items are checked before its beneficiary id. Beneficiaries without claims
+    get empty timelines. Every timeline of the read shares one PairTable.
     """
-    # intern tables for this read: raw string -> validated immutable value
-    dates: dict[str, date] = {}
-    types: dict[str, ClaimType] = {}
-    items: dict[str, CodedItem] = {}
+    pairs = PairTable()
+    by_token = pairs.by_token
+    # validated values of this read: service-date string -> ordinal, claim types
+    day_of: dict[str, int] = {}
+    types: set[str] = set()
     seen: set[str] = set()
-    current: ClaimTimeline | None = None
+    bene: Beneficiary | None = None
+    days: list[int] = []
+    ptr = [0]
+    ids: list[int] = []
     with naming_file(source):
         for line_no, line in enumerate(_iter_lines(source), start=1):
             line = line.rstrip("\n")
@@ -367,19 +359,30 @@ def iter_timelines(source: LineSource) -> Iterator[ClaimTimeline]:
                 continue
             fields = line.split("\t")
             tag = fields[0]
-            if tag == "B":
-                bene = _parse_beneficiary(fields, line_no)
-                if bene.id in seen:
-                    raise ParseError(line_no, f"duplicate beneficiary record {bene.id!r}")
-                seen.add(bene.id)
-                if current is not None:
-                    current.sort()
-                    yield current
-                current = ClaimTimeline(bene)
-            elif tag == "C":
-                claim = _parse_claim(fields, line_no, dates, types, items)
-                bid = claim.beneficiary_id
-                if current is None or bid != current.beneficiary.id:
+            if tag == "C":
+                if len(fields) < 4:
+                    raise ParseError(
+                        line_no, f"claim record needs at least 4 fields, got {len(fields)}"
+                    )
+                bid, date_raw, type_raw = fields[1], fields[2], fields[3]
+                if not bid:
+                    raise ParseError(line_no, "claim with empty beneficiary_id")
+                day = day_of.get(date_raw)
+                if day is None:
+                    day = _parse_date(date_raw, line_no, "service_date").toordinal()
+                    day_of[date_raw] = day
+                if type_raw not in types:
+                    try:
+                        ClaimType(type_raw)
+                    except ValueError:
+                        raise ParseError(line_no, f"bad claim_type {type_raw!r}")
+                    types.add(type_raw)
+                tokens = fields[4:]
+                try:
+                    claim_ids = [by_token[token] for token in tokens]
+                except KeyError:  # a token new to this read
+                    claim_ids = [pairs.intern(token, line_no) for token in tokens]
+                if bene is None or bid != bene.id:
                     if bid in seen:
                         raise ParseError(
                             line_no,
@@ -387,9 +390,19 @@ def iter_timelines(source: LineSource) -> Iterator[ClaimTimeline]:
                             "record (claims must be grouped by beneficiary)",
                         )
                     raise ParseError(line_no, f"claim references unknown beneficiary {bid!r}")
-                current.claims.append(claim)
+                days.append(day)
+                ids += claim_ids
+                ptr.append(len(ids))
+            elif tag == "B":
+                new = _parse_beneficiary(fields, line_no)
+                if new.id in seen:
+                    raise ParseError(line_no, f"duplicate beneficiary record {new.id!r}")
+                seen.add(new.id)
+                if bene is not None:
+                    yield _timeline(bene, days, ptr, ids, pairs)
+                    days, ptr, ids = [], [0], []
+                bene = new
             else:
                 raise ParseError(line_no, f"unknown record tag {tag!r}")
-        if current is not None:
-            current.sort()
-            yield current
+        if bene is not None:
+            yield _timeline(bene, days, ptr, ids, pairs)

@@ -37,6 +37,11 @@ class ParseError(DataError):
         self.path = path
 
 
+def in_file(source, message: str) -> str:
+    """message, led by the path of source when source is a file path."""
+    return f"{source}: {message}" if isinstance(source, (str, PathLike)) else message
+
+
 @contextmanager
 def naming_file(source):
     """Name source in a ParseError raised inside the block, when source is a file path."""

@@ -23,8 +23,8 @@ from typing import IO, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .claims import ClaimTimeline, CodedItem, CodeSystem, Race, Sex, _iter_lines
-from .errors import DataError, ParseError, naming_file
+from .claims import ClaimTimeline, CodeSystem, PairTable, Race, Sex, _iter_lines
+from .errors import DataError, ParseError, in_file, naming_file
 from .triggers import N_CLASSES, TASKS
 
 BUCKET_EDGES = (30, 90, 365, 3650)
@@ -110,47 +110,14 @@ class Vocabulary:
                 pairs.append((key, int(idx)))
         vocab = cls(key for key, _ in pairs)
         if list(vocab.index.items()) != pairs:
-            raise DataError("vocabulary file is not its sorted keys with dense indices 0..n-1")
+            raise DataError(
+                in_file(source, "vocabulary file is not its sorted keys with dense indices 0..n-1")
+            )
         return vocab
 
 
-class ClaimInterner:
-    """Shared (system, code) -> small-integer table across many timelines."""
-
-    def __init__(self):
-        self._ids: dict[tuple[str, str], int] = {}
-        self.pairs: list[tuple[str, str]] = []
-        # id(item) -> (item, pair id). A claims read shares one CodedItem per
-        # distinct token, so repeats skip rebuilding and hashing the pair;
-        # holding the item keeps its id from passing to another object.
-        self._by_item: dict[int, tuple[CodedItem, int]] = {}
-
-    def pair_id(self, system: str, code: str) -> int:
-        key = (system, code)
-        pid = self._ids.get(key)
-        if pid is None:
-            pid = len(self.pairs)
-            self._ids[key] = pid
-            self.pairs.append(key)
-        return pid
-
-    def item_pair_ids(self, items: Iterable[CodedItem]) -> list[int]:
-        """The pair_id of each item, in order."""
-        by_item = self._by_item
-        out = []
-        for item in items:
-            hit = by_item.get(id(item))
-            if hit is None:
-                hit = by_item[id(item)] = (item, self.pair_id(item.system.value, item.code))
-            out.append(hit[1])
-        return out
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
 class CompiledTimeline:
-    """One timeline flattened to arrays for featurizing all of its triggers at once.
+    """One timeline's columns, for featurizing all of its triggers at once.
 
     Yields exactly the same active keys as the reference featurizers in
     tests/reference.py. One searchsorted finds every trigger's bucket windows;
@@ -158,22 +125,16 @@ class CompiledTimeline:
     read back sorted and unique with flatnonzero and cleared for the next one.
     """
 
-    __slots__ = ("sex", "race", "birth_year", "days", "item_ids", "claim_ptr")
+    __slots__ = ("sex", "race", "birth_year", "days", "pair_ids", "claim_ptr")
 
-    def __init__(self, timeline: ClaimTimeline, interner: ClaimInterner):
+    def __init__(self, timeline: ClaimTimeline):
         bene = timeline.beneficiary
-        claims = timeline.claims
         self.sex = bene.sex
         self.race = bene.race
         self.birth_year = bene.birth_year
-        self.days = np.fromiter(
-            (c.service_date.toordinal() for c in claims), dtype=np.int64, count=len(claims)
-        )
-        self.claim_ptr = np.zeros(len(claims) + 1, dtype=np.int64)
-        np.cumsum([len(c.items) for c in claims], dtype=np.int64, out=self.claim_ptr[1:])
-        self.item_ids = np.asarray(
-            interner.item_pair_ids([item for c in claims for item in c.items]), dtype=np.int64
-        )
+        self.days = timeline.days
+        self.claim_ptr = timeline.claim_ptr
+        self.pair_ids = timeline.pair_ids
 
     def _windows(self, dates: Sequence[date]) -> list[list[int]]:
         """Per trigger date, the item positions that bound buckets 3, 2, 1 and 0, in claim order."""
@@ -182,7 +143,7 @@ class CompiledTimeline:
 
     def active_pair_buckets(self, dates: Sequence[date]) -> list[np.ndarray]:
         """Per trigger date, the sorted pair_id * N_BUCKETS + bucket values active there."""
-        pairs, local = np.unique(self.item_ids, return_inverse=True)
+        pairs, local = np.unique(self.pair_ids, return_inverse=True)
         keys = (pairs[:, None] * N_BUCKETS + np.arange(N_BUCKETS)).ravel()
         mask = np.zeros((pairs.size, N_BUCKETS), dtype=bool)  # (local pair, bucket)
         flat = mask.ravel()
@@ -210,7 +171,7 @@ class CompiledTimeline:
         """Per trigger date, the sorted vocabulary columns of the row written for it."""
         n = len(vocab)
         # each item's column in each bucket; -1 (absent) lands in the sentinel slot n
-        item_cols = colmap[self.item_ids[:, None] * N_BUCKETS + np.arange(N_BUCKETS - 1, -1, -1)]
+        item_cols = colmap[self.pair_ids[:, None] * N_BUCKETS + np.arange(N_BUCKETS - 1, -1, -1)]
         mask = np.zeros(n + 1, dtype=bool)
         dem_by_year: dict[int, list[int]] = {}
         out = []
@@ -229,33 +190,31 @@ class CompiledTimeline:
         return out
 
 
-def pair_bucket_key(interner: ClaimInterner, pair_bucket: int) -> str:
+def pair_bucket_key(pairs: PairTable, pair_bucket: int) -> str:
     pid, b = divmod(pair_bucket, N_BUCKETS)
-    system, code = interner.pairs[pid]
-    return coded_key(CodeSystem(system), code, b)
+    system, code = pairs.pairs[pid]
+    return coded_key(system, code, b)
 
 
-def vocabulary_from_counts(
-    counts: np.ndarray, interner: ClaimInterner, min_count: int = 1
-) -> Vocabulary:
+def vocabulary_from_counts(counts: np.ndarray, pairs: PairTable, min_count: int = 1) -> Vocabulary:
     """Vocabulary from the number of training triggers each pair-bucket key is active at.
 
-    ``counts`` is indexed by pair_id * N_BUCKETS + bucket. Equivalent to the
-    reference build_vocabulary() in tests/reference.py over the same training
-    triggers: a key earns a column when it is active at min_count of them, and
-    never when at none.
+    ``counts`` is indexed by pair_id * N_BUCKETS + bucket, for the pair ids of
+    the claims read that ``pairs`` numbers. Equivalent to the reference
+    build_vocabulary() in tests/reference.py over the same training triggers:
+    a key earns a column when it is active at min_count of them, and never
+    when at none.
     """
     keys = _all_demographic_keys()
     keep = np.flatnonzero(counts >= max(min_count, 1))
-    keys.extend(pair_bucket_key(interner, pb) for pb in keep.tolist())
+    keys.extend(pair_bucket_key(pairs, pb) for pb in keep.tolist())
     return Vocabulary(keys)
 
 
-def column_map(vocab: Vocabulary, interner: ClaimInterner) -> np.ndarray:
+def column_map(vocab: Vocabulary, pairs: PairTable) -> np.ndarray:
     """Flat (pair_id * N_BUCKETS + bucket) -> vocab column map; -1 when absent."""
-    out = np.full(len(interner) * N_BUCKETS, -1, dtype=np.int32)
-    for pid, (name, code) in enumerate(interner.pairs):
-        system = CodeSystem(name)
+    out = np.full(len(pairs) * N_BUCKETS, -1, dtype=np.int32)
+    for pid, (system, code) in enumerate(pairs.pairs):
         for b in range(N_BUCKETS):
             col = vocab.index.get(coded_key(system, code, b))
             if col is not None:
@@ -373,7 +332,10 @@ def read_feature_matrix(
         row = int(np.searchsorted(matrix.indptr, bad[0], side="right")) - 1
         bid, tdate = matrix.ids[row]
         raise DataError(
-            f"feature index {int(matrix.indices[bad[0]])} of the row for {bid} {tdate} "
-            f"is outside the {n_features} vocabulary columns"
+            in_file(
+                source,
+                f"feature index {int(matrix.indices[bad[0]])} of the row for {bid} {tdate} "
+                f"is outside the {n_features} vocabulary columns",
+            )
         )
     return matrix

@@ -591,24 +591,25 @@ def _run_featurize(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -
         paths["split"], lineage, (f"{bid}\t{split_of(bid)}" for bid in sorted(all_ids))
     )
 
-    # single parse: compile timelines that have at least one eligible trigger
-    interner = feat_mod.ClaimInterner()
+    # single parse: keep the timelines that have at least one eligible trigger;
+    # their pair ids all number pairs of this one read
     compiled: dict[str, feat_mod.CompiledTimeline] = {}
     for timeline in claims_mod.iter_timelines(paths["claims"]):
+        pairs = timeline.pairs
         bid = timeline.beneficiary.id
         if bid in triggers_by_bid:
-            compiled[bid] = feat_mod.CompiledTimeline(timeline, interner)
+            compiled[bid] = feat_mod.CompiledTimeline(timeline)
 
     # training triggers per pair-bucket key; each active set holds a key once
-    counts = np.zeros(len(interner) * feat_mod.N_BUCKETS, dtype=np.int64)
+    counts = np.zeros(len(pairs) * feat_mod.N_BUCKETS, dtype=np.int64)
     for bid, trigs in triggers_by_bid.items():
         if bid in train_ids:
             for active in compiled[bid].active_pair_buckets([t for t, _ in trigs]):
                 counts[active] += 1
-    vocab = feat_mod.vocabulary_from_counts(counts, interner, cfg.min_count)
+    vocab = feat_mod.vocabulary_from_counts(counts, pairs, cfg.min_count)
     vocab_hash = vocab.content_hash()
     write_text_artifact(paths["vocab"], lineage, vocab.lines())
-    colmap = feat_mod.column_map(vocab, interner)
+    colmap = feat_mod.column_map(vocab, pairs)
 
     n_rows = {"train": 0, "valid": 0, "test": 0}
     with ExitStack() as stack:

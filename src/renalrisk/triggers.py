@@ -80,7 +80,6 @@ def month_firsts(start: date, end: date) -> list[date]:
 @dataclass(frozen=True)
 class _TimelineFacts:
     birth_year: int
-    claim_ordinals: tuple[int, ...]  # sorted
     first_ckd: int | None
     first_rrt: int | None
     first_by_task: dict[str, int | None]
@@ -99,7 +98,6 @@ def _facts(timeline: ClaimTimeline, library: CodeSetLibrary) -> _TimelineFacts:
     firsts = {"rrt": rrt, "dialysis": dialysis, "transplant": transplant}
     return _TimelineFacts(
         birth_year=timeline.beneficiary.birth_year,
-        claim_ordinals=tuple(c.service_date.toordinal() for c in timeline.claims),
         first_ckd=_ordinal(ckd),
         first_rrt=_ordinal(rrt),
         first_by_task={task: _ordinal(firsts[task]) for task in TASKS},
@@ -210,7 +208,7 @@ def enumerate_triggers(
     grid = _month_grid(start, end)
     facts = _facts(timeline, library)
     t = grid.ordinals
-    days = np.asarray(facts.claim_ordinals, dtype=np.int64)
+    days = timeline.days
     first_day = days[0] if days.size else _NEVER
     first_ckd = _NEVER if facts.first_ckd is None else facts.first_ckd
     first_rrt = _NEVER if facts.first_rrt is None else facts.first_rrt

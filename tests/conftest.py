@@ -4,11 +4,7 @@ import pytest
 
 from renalrisk.claims import (
     Beneficiary,
-    Claim,
-    ClaimTimeline,
     ClaimType,
-    CodeSystem,
-    CodedItem,
     Race,
     Sex,
     default_codeset_library,
@@ -25,14 +21,28 @@ def make_beneficiary(bid="b1", birth_year=1940, enrollment=date(2011, 1, 1), dea
     return Beneficiary(bid, Sex.FEMALE, Race.WHITE, birth_year, enrollment, death)
 
 
+def beneficiary_line(bene):
+    death = bene.death_date.isoformat() if bene.death_date else ""
+    return "\t".join(
+        ["B", bene.id, bene.sex.value, bene.race.value, str(bene.birth_year),
+         bene.enrollment_date.isoformat(), death]
+    )
+
+
 def make_claim(bid, day, items=(), claim_type=ClaimType.OUTPATIENT):
-    coded = [CodedItem(CodeSystem(s), c) for s, c in items]
-    return Claim(bid, day, claim_type, coded)
+    """One claim line of the claims file format."""
+    tokens = [f"{system}:{code}" for system, code in items]
+    return "\t".join(["C", bid, day.isoformat(), claim_type.value, *tokens])
+
+
+def timeline_lines(bene, *claims):
+    """The claims file lines of one beneficiary: its B record, then the claim lines."""
+    return [beneficiary_line(bene), *claims]
 
 
 def timeline_with(bene, *claims):
-    tl = ClaimTimeline(bene, list(claims))
-    tl.sort()
+    """The timeline that iter_timelines reads from bene's record and these claim lines."""
+    (tl,) = iter_timelines(timeline_lines(bene, *claims))
     return tl
 
 
@@ -66,7 +76,9 @@ def eligible_timeline():
 
 __all__ = [
     "make_beneficiary",
+    "beneficiary_line",
     "make_claim",
+    "timeline_lines",
     "timeline_with",
     "timelines_by_id",
     "monthly_claims",

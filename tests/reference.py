@@ -4,12 +4,16 @@ Each oracle does the work of a production path the plain way, and the
 equivalence tests compare the two:
 
 - ``reference_parse_claims`` / ``reference_parse_claim`` validate every token
-  of every line and build a new object for it, where ``iter_timelines``
-  interns repeated tokens per read; ``reference_parse_trigger_row`` parses a
+  of every line and build one ``Claim`` per line (the per-claim form: a
+  service date and its ``(system, code)`` items), where ``iter_timelines``
+  validates each distinct token once per read and yields columns;
+  ``decode`` turns a columnar ``ClaimTimeline`` back into the per-claim form,
+  which the oracles below read. ``reference_parse_trigger_row`` parses a
   trigger row without any checks, against ``iter_trigger_rows``.
-- ``first_occurrence`` scans a timeline for one code set, against the
-  one-scan ``first_occurrences``; ``task_codeset`` spells out each task's code
-  set, rrt as the union of the dialysis and transplant sets.
+- ``first_occurrence`` scans a timeline's claims for one code set, against
+  the membership gathers of ``first_occurrences``; ``task_codeset`` spells
+  out each task's code set, rrt as the union of the dialysis and transplant
+  sets.
 - ``brute_force_label`` scans every day offset after a trigger, against the
   labels of ``enumerate_triggers``.
 - ``reference_enumerate_triggers`` screens and labels one month at a time and
@@ -32,15 +36,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from datetime import date, timedelta
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from renalrisk.claims import (
-    Claim,
+    Beneficiary,
     ClaimTimeline,
     ClaimType,
-    CodedItem,
     CodeSet,
     CodeSetLibrary,
     CodeSystem,
@@ -76,7 +79,31 @@ from renalrisk.triggers import (
 # -- claims and trigger rows --------------------------------------------------------
 
 
-def reference_parse_claim(fields: list[str], line_no: int) -> Claim:
+class Claim(NamedTuple):
+    """One claim in the per-claim form; its claim type is validated, not kept."""
+
+    service_date: date
+    items: tuple[tuple[CodeSystem, str], ...]
+
+
+def decode(timeline: ClaimTimeline) -> list[Claim]:
+    """The claims of a columnar timeline, in its order."""
+    pairs = timeline.pairs.pairs
+    ptr = timeline.claim_ptr.tolist()
+    ids = timeline.pair_ids.tolist()
+    return [
+        Claim(date.fromordinal(day), tuple(pairs[i] for i in ids[ptr[k] : ptr[k + 1]]))
+        for k, day in enumerate(timeline.days.tolist())
+    ]
+
+
+def decoded(timelines: Iterable[ClaimTimeline]) -> dict[str, tuple[Beneficiary, list[Claim]]]:
+    """Each timeline's beneficiary and decoded claims, by beneficiary id."""
+    return {tl.beneficiary.id: (tl.beneficiary, decode(tl)) for tl in timelines}
+
+
+def reference_parse_claim(fields: list[str], line_no: int) -> tuple[str, Claim]:
+    """The beneficiary id and the claim of one C record."""
     if len(fields) < 4:
         raise ParseError(line_no, f"claim record needs at least 4 fields, got {len(fields)}")
     _, bid, date_raw, type_raw = fields[:4]
@@ -84,7 +111,7 @@ def reference_parse_claim(fields: list[str], line_no: int) -> Claim:
         raise ParseError(line_no, "claim with empty beneficiary_id")
     service_date = _parse_date(date_raw, line_no, "service_date")
     try:
-        claim_type = ClaimType(type_raw)
+        ClaimType(type_raw)
     except ValueError:
         raise ParseError(line_no, f"bad claim_type {type_raw!r}")
     items = []
@@ -96,13 +123,16 @@ def reference_parse_claim(fields: list[str], line_no: int) -> Claim:
             system = CodeSystem(system_raw)
         except ValueError:
             raise ParseError(line_no, f"unknown code system {system_raw!r}")
-        items.append(CodedItem(system, code))
-    return Claim(bid, service_date, claim_type, items)
+        items.append((system, code))
+    return bid, Claim(service_date, tuple(items))
 
 
-def reference_parse_claims(lines: list[str]) -> dict[str, ClaimTimeline]:
-    """One timeline per beneficiary id; claims may come in any order after their B record."""
-    timelines: dict[str, ClaimTimeline] = {}
+def reference_parse_claims(lines: list[str]) -> dict[str, tuple[Beneficiary, list[Claim]]]:
+    """Each beneficiary and its claims sorted stably by date, by beneficiary id.
+
+    Claims may come in any order after their B record.
+    """
+    timelines: dict[str, tuple[Beneficiary, list[Claim]]] = {}
     for line_no, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
         if not line or line.startswith("#"):
@@ -112,19 +142,16 @@ def reference_parse_claims(lines: list[str]) -> dict[str, ClaimTimeline]:
             bene = _parse_beneficiary(fields, line_no)
             if bene.id in timelines:
                 raise ParseError(line_no, f"duplicate beneficiary record {bene.id!r}")
-            timelines[bene.id] = ClaimTimeline(bene)
+            timelines[bene.id] = (bene, [])
         elif fields[0] == "C":
-            claim = reference_parse_claim(fields, line_no)
-            timeline = timelines.get(claim.beneficiary_id)
-            if timeline is None:
-                raise ParseError(
-                    line_no, f"claim references unknown beneficiary {claim.beneficiary_id!r}"
-                )
-            timeline.claims.append(claim)
+            bid, claim = reference_parse_claim(fields, line_no)
+            if bid not in timelines:
+                raise ParseError(line_no, f"claim references unknown beneficiary {bid!r}")
+            timelines[bid][1].append(claim)
         else:
             raise ParseError(line_no, f"unknown record tag {fields[0]!r}")
-    for timeline in timelines.values():
-        timeline.sort()
+    for _, claims in timelines.values():
+        claims.sort(key=lambda claim: claim.service_date)
     return timelines
 
 
@@ -166,20 +193,20 @@ def task_codeset(library: CodeSetLibrary, task: str) -> CodeSet:
 
 def first_occurrence(timeline: ClaimTimeline, codeset: CodeSet) -> date | None:
     """Earliest service date of any claim carrying a code from ``codeset``."""
-    for claim in timeline.claims:
-        for item in claim.items:
-            if item in codeset:
-                return claim.service_date
+    for claim in decode(timeline):
+        if any(pair in codeset.codes for pair in claim.items):
+            return claim.service_date
     return None
 
 
 def brute_force_label(timeline: ClaimTimeline, t: date, codeset: CodeSet) -> tuple[int, ...]:
     """One-hot window of the first codeset event after t, by scanning every day offset."""
+    claims = decode(timeline)
     for offset in range(1, HORIZON_DAYS[-1] + 2):
         day = t + timedelta(days=offset)
         hit = any(
-            claim.service_date == day and any(item in codeset for item in claim.items)
-            for claim in timeline.claims
+            claim.service_date == day and any(pair in codeset.codes for pair in claim.items)
+            for claim in claims
         )
         if hit:
             if offset > HORIZON_DAYS[-1]:
@@ -190,7 +217,10 @@ def brute_force_label(timeline: ClaimTimeline, t: date, codeset: CodeSet) -> tup
     return tuple(1 if i == N_CLASSES - 1 else 0 for i in range(N_CLASSES))
 
 
-def _eligibility(facts: _TimelineFacts, t: date) -> frozenset[IneligibilityReason]:
+def _eligibility(
+    facts: _TimelineFacts, days: list[int], t: date
+) -> frozenset[IneligibilityReason]:
+    """The reasons t is ineligible, given the sorted day ordinals of the claims."""
     t_ord = t.toordinal()
     reasons = set()
     if t.year - facts.birth_year < 65:
@@ -199,7 +229,6 @@ def _eligibility(facts: _TimelineFacts, t: date) -> frozenset[IneligibilityReaso
         reasons.add(IneligibilityReason.NO_CKD_DX)
     if facts.first_rrt is not None and facts.first_rrt <= t_ord:
         reasons.add(IneligibilityReason.RRT_ALREADY_INITIATED)
-    days = facts.claim_ordinals
     if not days or days[0] > t_ord - 365:
         reasons.add(IneligibilityReason.INSUFFICIENT_HISTORY)
     if bisect_left(days, t_ord - 30) >= bisect_left(days, t_ord):
@@ -221,9 +250,10 @@ def reference_enumerate_triggers(
 ) -> list[Trigger]:
     """One Trigger per first-of-month in trigger_range, each screened and labeled on its own."""
     facts = _facts(timeline, library)
+    days = timeline.days.tolist()
     out = []
     for t in month_firsts(*trigger_range):
-        reasons = _eligibility(facts, t)
+        reasons = _eligibility(facts, days, t)
         if reasons:
             out.append(Trigger(timeline.beneficiary.id, t, False, reasons))
             continue
@@ -260,12 +290,12 @@ def collect_active_keys(timeline: ClaimTimeline, t: date) -> set[str]:
     """All feature keys active at trigger date t, before any vocabulary filter."""
     keys = set(demographic_keys(timeline, t))
     t_ord = t.toordinal()
-    for claim in timeline.claims:
+    for claim in decode(timeline):
         bucket = day_bucket(t_ord - claim.service_date.toordinal())
         if bucket is None:
             continue
-        for item in claim.items:
-            keys.add(coded_key(item.system, item.code, bucket))
+        for system, code in claim.items:
+            keys.add(coded_key(system, code, bucket))
     return keys
 
 
@@ -310,7 +340,7 @@ def reference_active_pair_buckets(compiled: CompiledTimeline, t: date) -> np.nda
         lo = np.searchsorted(compiled.days, t_ord - hi_edge + 1, side="left")
         hi = np.searchsorted(compiled.days, t_ord - lo_edge, side="right")
         if hi > lo:
-            ids = compiled.item_ids[compiled.claim_ptr[lo] : compiled.claim_ptr[hi]]
+            ids = compiled.pair_ids[compiled.claim_ptr[lo] : compiled.claim_ptr[hi]]
             if ids.size:
                 chunks.append(ids * N_BUCKETS + b)
         lo_edge = hi_edge

@@ -18,7 +18,6 @@ from renalrisk.claims import CodeSystem, default_codeset_library, iter_timelines
 from renalrisk.evaluation import gmean_operating_point, roc_auc
 from renalrisk.features import (
     N_BUCKETS,
-    ClaimInterner,
     CompiledTimeline,
     column_map,
     vocabulary_from_counts,
@@ -33,7 +32,14 @@ from renalrisk.pipeline import (
 from renalrisk.synth import SynthConfig, generate
 from renalrisk.triggers import enumerate_triggers
 
-from conftest import make_beneficiary, make_claim, monthly_claims, timeline_with
+from conftest import (
+    make_beneficiary,
+    make_claim,
+    monthly_claims,
+    timeline_lines,
+    timeline_with,
+    timelines_by_id,
+)
 from test_evaluation import brute_force_roc_auc
 from reference import brute_force_label, task_codeset
 from test_model import C, make_matrix, numeric_gradient, rand_problem
@@ -189,32 +195,29 @@ def test_criterion_5_no_future_leakage():
     violations = 0
     for _ in range(10_000):
         history = [
-            make_claim(
-                "b1",
-                t - timedelta(days=int(rng.integers(1, 3800))),
-                [("CPT", str(rng.integers(0, 40)))],
-            )
+            (t - timedelta(days=int(rng.integers(1, 3800))), [("CPT", str(rng.integers(0, 40)))])
             for _ in range(int(rng.integers(0, 6)))
         ]
-        tl = timeline_with(make_beneficiary("b1"), *history)
-        interner = ClaimInterner()
-        compiled = CompiledTimeline(tl, interner)
-        counts = np.zeros(len(interner) * N_BUCKETS, dtype=np.int64)
-        (active,) = compiled.active_pair_buckets([t])
-        counts[active] = 1
-        vocab = vocabulary_from_counts(counts, interner)
-        (base,) = compiled.active_indices([t], vocab, column_map(vocab, interner))
         injected = [
-            make_claim(
-                "b1",
-                t + timedelta(days=int(rng.integers(0, 400))),
-                [("CPT", str(rng.integers(0, 40)))],
-            )
+            (t + timedelta(days=int(rng.integers(0, 400))), [("CPT", str(rng.integers(0, 40)))])
             for _ in range(int(rng.integers(1, 4)))
         ]
-        tl_plus = timeline_with(make_beneficiary("b1"), *(history + injected))
-        compiled_plus = CompiledTimeline(tl_plus, interner)
-        (plus,) = compiled_plus.active_indices([t], vocab, column_map(vocab, interner))
+        # one read: b1 holds the history, b2 the history plus the injected future claims
+        timelines = timelines_by_id(
+            timeline_lines(make_beneficiary("b1"), *(make_claim("b1", *c) for c in history))
+            + timeline_lines(
+                make_beneficiary("b2"), *(make_claim("b2", *c) for c in history + injected)
+            )
+        )
+        pairs = timelines["b1"].pairs
+        compiled = CompiledTimeline(timelines["b1"])
+        counts = np.zeros(len(pairs) * N_BUCKETS, dtype=np.int64)
+        (active,) = compiled.active_pair_buckets([t])
+        counts[active] = 1
+        vocab = vocabulary_from_counts(counts, pairs)
+        colmap = column_map(vocab, pairs)
+        (base,) = compiled.active_indices([t], vocab, colmap)
+        (plus,) = CompiledTimeline(timelines["b2"]).active_indices([t], vocab, colmap)
         if not np.array_equal(plus, base):
             violations += 1
     record(5, violations == 0, f"future-claim injection: {violations} violations in 10000 trials")

@@ -10,13 +10,14 @@ from renalrisk.claims import (
     ParseError,
     default_codeset_library,
     first_occurrences,
+    iter_timelines,
     load_codeset_library,
 )
 from renalrisk.errors import ConfigError
 from renalrisk.triggers import _facts
 
 from conftest import make_beneficiary, make_claim, timeline_with, timelines_by_id
-from reference import reference_parse_claims, task_codeset
+from reference import decode, decoded, reference_parse_claims, task_codeset
 
 B_LINE = "B\tb1\tfemale\twhite\t1940\t2011-01-01\t"
 C_LINE = "C\tb1\t2013-05-02\toutpatient\tICD10_DX:N183"
@@ -33,21 +34,22 @@ def test_sort_keeps_equal_dates_in_input_order():
         "C\tb1\t2012-01-01\tcarrier",
         "C\tb1\t2013-05-02\tinpatient\tCPT:22222",
     ]
-    tl = timelines_by_id(lines)["b1"]
-    assert [c.service_date.isoformat() for c in tl.claims] == [
+    claims = decode(timelines_by_id(lines)["b1"])
+    assert [c.service_date.isoformat() for c in claims] == [
         "2012-01-01",
         "2013-05-02",
         "2013-05-02",
     ]
     # the 2013-05-02 pair keeps input order
-    assert tl.claims[1].items[0].code == "11111"
-    assert tl.claims[2].items[0].code == "22222"
+    assert claims[1].items == ((CodeSystem.CPT, "11111"),)
+    assert claims[2].items == ((CodeSystem.CPT, "22222"),)
 
 
 def test_zero_claim_beneficiary_retained():
     data = timelines_by_id([B_LINE])
     assert list(data) == ["b1"]
-    assert data["b1"].claims == []
+    assert decode(data["b1"]) == []
+    assert data["b1"].claim_ptr.tolist() == [0]
 
 
 def test_missing_field_error_names_line():
@@ -99,7 +101,7 @@ def test_death_before_enrollment_rejected():
 
 def test_iter_timelines_matches_parse_on_grouped_input():
     lines = [B_LINE, C_LINE, "B\tb2\tmale\tblack\t1935\t2011-02-01\t"]
-    assert timelines_by_id(lines) == reference_parse_claims(lines)
+    assert decoded(iter_timelines(lines)) == reference_parse_claims(lines)
 
 
 # -- claim order --------------------------------------------------------------
@@ -140,14 +142,15 @@ def test_timeline_invariant_under_claim_line_permutation(groups, rnd):
         claims = list(claims)
         rnd.shuffle(claims)
         shuffled += [bene, *claims]
-    base = timelines_by_id(lines)
-    again = timelines_by_id(shuffled)
+    base = decoded(iter_timelines(lines))
+    again = decoded(iter_timelines(shuffled))
     assert list(again) == list(base)
-    for bid, tl in base.items():
-        dates = [c.service_date for c in tl.claims]
-        assert [c.service_date for c in again[bid].claims] == sorted(dates)
+    for bid, (bene, claims) in base.items():
+        dates = [c.service_date for c in claims]
+        assert again[bid][0] == bene
+        assert [c.service_date for c in again[bid][1]] == sorted(dates)
         if len(set(dates)) == len(dates):  # no ties: full equality
-            assert again[bid] == tl
+            assert again[bid][1] == claims
 
 
 # -- first occurrences --------------------------------------------------------

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from renalrisk.claims import Race, Sex
+from renalrisk.claims import Race, Sex, iter_timelines
 from renalrisk.errors import DataError, ParseError
 from renalrisk.features import (
     AGE_BUCKET_LABELS,
     N_BUCKETS,
-    ClaimInterner,
     CompiledTimeline,
     Vocabulary,
     age_bucket,
@@ -24,7 +23,7 @@ from renalrisk.features import (
 )
 from renalrisk.pipeline import load_pipeline_config, run_stage
 
-from conftest import make_beneficiary, make_claim, timeline_with
+from conftest import make_beneficiary, make_claim, timeline_lines, timeline_with, timelines_by_id
 from reference import (
     build_vocabulary,
     collect_active_keys,
@@ -41,14 +40,14 @@ def _tl(*claims, bene=None):
 
 
 def _build_vocabulary(training, min_count=1):
-    """The featurize stage's vocabulary: pair-bucket counts over compiled timelines."""
-    interner = ClaimInterner()
-    compiled = [(CompiledTimeline(timeline, interner), dates) for timeline, dates in training]
-    counts = np.zeros(len(interner) * N_BUCKETS, dtype=np.int64)
-    for timeline, dates in compiled:
-        for active in timeline.active_pair_buckets(dates):
+    """The featurize stage's vocabulary: pair-bucket counts over timelines of one read."""
+    pairs = training[0][0].pairs
+    assert all(timeline.pairs is pairs for timeline, _ in training)
+    counts = np.zeros(len(pairs) * N_BUCKETS, dtype=np.int64)
+    for timeline, dates in training:
+        for active in CompiledTimeline(timeline).active_pair_buckets(dates):
             counts[active] += 1
-    return vocabulary_from_counts(counts, interner, min_count)
+    return vocabulary_from_counts(counts, pairs, min_count)
 
 
 def _vocab_for(timeline, t=T):
@@ -57,9 +56,8 @@ def _vocab_for(timeline, t=T):
 
 def _features(timeline, vocab, t=T):
     """The column indices the featurize stage writes for timeline at t."""
-    interner = ClaimInterner()
-    compiled = CompiledTimeline(timeline, interner)
-    (row,) = compiled.active_indices([t], vocab, column_map(vocab, interner))
+    compiled = CompiledTimeline(timeline)
+    (row,) = compiled.active_indices([t], vocab, column_map(vocab, timeline.pairs))
     return tuple(row.tolist())
 
 
@@ -73,7 +71,7 @@ def _active_keys(timeline, t=T):
 def test_day_bucket_boundaries():
     def day_bucket(offset):
         tl = _tl(make_claim("b1", T - timedelta(days=offset), [("CPT", "1")]))
-        (buckets,) = CompiledTimeline(tl, ClaimInterner()).active_pair_buckets([T])
+        (buckets,) = CompiledTimeline(tl).active_pair_buckets([T])
         assert buckets.size <= 1
         return int(buckets[0]) % N_BUCKETS if buckets.size else None
 
@@ -156,13 +154,16 @@ def test_vocabulary_empty_training_set_errors(tmp_path):
 
 
 def test_min_count_cutoff_drops_rare_coded_keys():
-    tl1 = _tl(make_claim("b1", T - timedelta(days=5), [("CPT", "11111")]))
-    bene2 = make_beneficiary("b2")
-    tl2 = timeline_with(
-        bene2,
-        make_claim("b2", T - timedelta(days=5), [("CPT", "11111"), ("CPT", "22222")]),
+    timelines = timelines_by_id(
+        timeline_lines(
+            make_beneficiary("b1"), make_claim("b1", T - timedelta(days=5), [("CPT", "11111")])
+        )
+        + timeline_lines(
+            make_beneficiary("b2"),
+            make_claim("b2", T - timedelta(days=5), [("CPT", "11111"), ("CPT", "22222")]),
+        )
     )
-    vocab = _build_vocabulary([(tl1, [T]), (tl2, [T])], min_count=2)
+    vocab = _build_vocabulary([(timelines["b1"], [T]), (timelines["b2"], [T])], min_count=2)
     assert "code/CPT/11111/b0" in vocab
     assert "code/CPT/22222/b0" not in vocab
 
@@ -214,13 +215,14 @@ def test_featurize_invariant_to_claim_order():
 
 
 def test_claims_at_or_after_trigger_never_contribute():
-    tl_base = _tl(make_claim("b1", T - timedelta(days=10), [("CPT", "1")]))
+    base = [make_claim("b1", T - timedelta(days=10), [("CPT", "1")])]
+    tl_base = _tl(*base)
     vocab = _vocab_for(tl_base)
     future = [
         make_claim("b1", T, [("CPT", "7")]),
         make_claim("b1", T + timedelta(days=3), [("CPT", "8")]),
     ]
-    tl_leaky = _tl(*(tl_base.claims + future))
+    tl_leaky = _tl(*(base + future))
     assert _features(tl_base, vocab) == _features(tl_leaky, vocab)
 
 
@@ -274,8 +276,11 @@ _items = st.lists(st.tuples(st.sampled_from(["CPT", "ICD10_DX", "HCC"]), _codes)
 
 
 @st.composite
-def featurized_timelines(draw, bid="b1"):
-    """A timeline and its eligible trigger dates; claims may carry no items at all."""
+def featurized_lines(draw, bid="b1"):
+    """A beneficiary's claims lines and its eligible trigger dates.
+
+    Claims may carry no items at all.
+    """
     dates = sorted(set(draw(st.lists(st.sampled_from(_TRIGGER_DATES), min_size=1, max_size=6))))
     claims = [
         make_claim(bid, t - timedelta(days=offset), items)
@@ -292,39 +297,49 @@ def featurized_timelines(draw, bid="b1"):
     ]
     # 1947 turns 65 in 2012; 1918 crosses into the 95plus bucket in 2013
     bene = make_beneficiary(bid, birth_year=draw(st.sampled_from((1918, 1935, 1947))))
-    return timeline_with(bene, *claims), dates
+    return timeline_lines(bene, *claims), dates
+
+
+def _read_one(case):
+    lines, dates = case
+    (timeline,) = iter_timelines(lines)
+    return timeline, dates
+
+
+@st.composite
+def training_sets(draw):
+    """One to four beneficiaries read together, each with its trigger dates."""
+    cases = [draw(featurized_lines(f"b{i}")) for i in range(draw(st.integers(1, 4)))]
+    timelines = iter_timelines([line for lines, _ in cases for line in lines])
+    return [(timeline, dates) for timeline, (_, dates) in zip(timelines, cases)]
 
 
 def _arrays_equal(got, want):
     return len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
-@given(featurized_timelines())
+@given(featurized_lines().map(_read_one))
 @example((_tl(bene=make_beneficiary(birth_year=1947)), [date(2012, 1, 1), date(2012, 6, 1)]))
 @example((_tl(make_claim("b1", T, [("CPT", "A")]), make_claim("b1", T - timedelta(days=40))), [T]))
 @settings(max_examples=300, deadline=None)
 def test_per_beneficiary_sets_equal_the_per_trigger_reference(case):
     timeline, dates = case
-    interner = ClaimInterner()
-    compiled = CompiledTimeline(timeline, interner)
+    compiled = CompiledTimeline(timeline)
     buckets = compiled.active_pair_buckets(dates)
     assert _arrays_equal(buckets, [reference_active_pair_buckets(compiled, t) for t in dates])
     for t, active in zip(dates, buckets):
         coded = {k for k in collect_active_keys(timeline, t) if k.startswith("code/")}
-        assert {pair_bucket_key(interner, pb) for pb in active.tolist()} == coded
+        assert {pair_bucket_key(timeline.pairs, pb) for pb in active.tolist()} == coded
     # a vocabulary from the first trigger only, so later triggers have unseen keys
     vocab = build_vocabulary([(timeline, dates[:1])])
-    colmap = column_map(vocab, interner)
+    colmap = column_map(vocab, timeline.pairs)
     rows = compiled.active_indices(dates, vocab, colmap)
     want = [reference_active_indices(compiled, t, vocab, colmap) for t in dates]
     assert _arrays_equal(rows, want)
     assert [tuple(row.tolist()) for row in rows] == [featurize(timeline, t, vocab) for t in dates]
 
 
-@given(
-    st.lists(featurized_timelines(), min_size=1, max_size=4),
-    st.integers(min_value=1, max_value=3),
-)
+@given(training_sets(), st.integers(min_value=1, max_value=3))
 @settings(max_examples=100, deadline=None)
 def test_array_count_vocabulary_equals_build_vocabulary(training, min_count):
     vocab = _build_vocabulary(training, min_count)
@@ -344,11 +359,16 @@ def test_vocabulary_file_round_trip(tmp_path):
 
 
 def test_vocabulary_from_counts_matches_reference_build():
-    tl1 = _tl(make_claim("b1", T - timedelta(days=5), [("CPT", "1"), ("HCC", "9")]))
-    tl2 = timeline_with(
-        make_beneficiary("b2"),
-        make_claim("b2", T - timedelta(days=45), [("CPT", "1")]),
+    timelines = timelines_by_id(
+        timeline_lines(
+            make_beneficiary("b1"),
+            make_claim("b1", T - timedelta(days=5), [("CPT", "1"), ("HCC", "9")]),
+        )
+        + timeline_lines(
+            make_beneficiary("b2"), make_claim("b2", T - timedelta(days=45), [("CPT", "1")])
+        )
     )
+    tl1, tl2 = timelines["b1"], timelines["b2"]
     reference = build_vocabulary([(tl1, [T]), (tl2, [T])], min_count=1)
     assert _build_vocabulary([(tl1, [T]), (tl2, [T])]).index == reference.index
 
@@ -395,3 +415,21 @@ def test_feature_matrix_refuses_indices_outside_the_vocabulary(indices):
         read_feature_matrix(lines + [_feature_line(indices="")], 10)
     matrix = read_feature_matrix([_feature_line(indices="0,9"), _feature_line(indices="")], 10)
     assert matrix.indices.tolist() == [0, 9] and matrix.indptr.tolist() == [0, 2, 2]
+
+
+def test_feature_matrix_index_error_names_its_file(tmp_path):
+    path = tmp_path / "features_test.tsv"
+    path.write_text(_feature_line(indices="0,2") + _feature_line(indices="3,12"))
+    with pytest.raises(DataError) as info:
+        read_feature_matrix(path, 10)
+    assert str(info.value) == (
+        f"{path}: feature index 12 of the row for b1 2014-01-01 "
+        "is outside the 10 vocabulary columns"
+    )
+
+
+def test_vocabulary_order_error_names_its_file(tmp_path):
+    path = tmp_path / "vocab.tsv"
+    path.write_text("#! {}\nb\t0\na\t1\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: vocabulary file is not its sorted"):
+        Vocabulary.from_file(path)

@@ -1,23 +1,23 @@
-"""The interning readers and one-scan facts against per-token reference versions.
+"""The columnar claims reader, its pair table and facts, against per-token references.
 
-The reference parsers in ``reference.py`` validate every token and build a
-new object for it on every line, as the readers did before they interned
-repeated tokens. The interned readers must return equal timelines and trigger
+The reference parsers in ``reference.py`` validate every token on every line
+and build one object per claim or row. The readers validate each distinct
+token once per read; the claims reader yields columns, which ``decode`` turns
+back into the per-claim form. Both must give equal timelines and trigger
 rows, and raise the same ParseError (line number and message) on malformed
 input.
 """
 
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renalrisk import triggers as trig_mod
 from renalrisk.claims import (
-    ClaimTimeline,
     ClaimType,
-    CodedItem,
     CodeSystem,
     ParseError,
     default_codeset_library,
@@ -26,11 +26,12 @@ from renalrisk.claims import (
 )
 from renalrisk.errors import DataError
 from renalrisk.evaluation import access_before_onset
-from renalrisk.features import ClaimInterner, CompiledTimeline
 from renalrisk.triggers import TASKS, _facts, enumerate_triggers, iter_trigger_rows
 
-from conftest import make_beneficiary, make_claim, timeline_with, timelines_by_id
+from conftest import make_beneficiary, make_claim, timeline_with
 from reference import (
+    decode,
+    decoded,
     first_occurrence,
     reference_parse_claims,
     reference_parse_trigger_row,
@@ -45,7 +46,8 @@ LIB = default_codeset_library()
 # Small pools, so that most tokens repeat and the intern tables are hit.
 _systems = st.sampled_from(["CPT", "ICD10_DX", "ICD9_DX", "HCPCS", "RXNORM"])
 _codes = st.sampled_from(["90951", "50360", "N183", "5853", "36818", "A1", "B2", "C3"])
-_days = st.integers(min_value=0, max_value=120)
+# Days from a narrow range half the time, so that equal-date claims are common.
+_days = st.one_of(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=120))
 _types = st.sampled_from([t.value for t in ClaimType])
 _tokens = st.builds(lambda s, c: f"{s}:{c}", _systems, _codes)
 
@@ -57,7 +59,10 @@ def _claim_line(bid: str, day: int, claim_type: str, tokens: list[str]) -> str:
 
 @st.composite
 def claims_files(draw):
-    """Grouped claims files: each B record directly followed by its claims."""
+    """Grouped claims files: each B record directly followed by its claims.
+
+    Claims come in any date order and may carry no items; tokens repeat.
+    """
     lines = []
     for i in range(draw(st.integers(min_value=0, max_value=4))):
         bid = f"p{i}"
@@ -68,11 +73,32 @@ def claims_files(draw):
     return lines
 
 
+_TIES_FILE = [
+    "B\tp0\tfemale\twhite\t1940\t2011-01-01\t",
+    _claim_line("p0", 5, "carrier", ["CPT:90951", "CPT:90951"]),
+    _claim_line("p0", 2, "inpatient", []),
+    _claim_line("p0", 5, "outpatient", ["ICD10_DX:N183"]),
+    _claim_line("p0", 2, "carrier", ["CPT:90951"]),
+    "B\tp1\tmale\tblack\t1935\t2011-02-01\t",
+    "B\tp2\tfemale\twhite\t1940\t2011-01-01\t",
+    _claim_line("p2", 0, "carrier", ["ICD10_DX:N183", "HCPCS:A1"]),
+]
+
+
+# Forty claims over five dates, each with its own code: long enough for an unstable sort
+# to reorder ties.
+_LONG_FILE = ["B\tp0\tfemale\twhite\t1940\t2011-01-01\t"] + [
+    _claim_line("p0", (7 * k) % 5, "carrier", [f"CPT:{k}"]) for k in range(40)
+]
+
+
 @given(claims_files())
+@example(_TIES_FILE)  # out-of-order ties, an empty claim, repeated tokens, no claims
+@example(_LONG_FILE)
 @settings(max_examples=150, deadline=None)
 def test_interned_readers_equal_reference(lines):
     want = reference_parse_claims(lines)
-    assert timelines_by_id(lines) == want
+    assert decoded(iter_timelines(lines)) == want
 
 
 # The head of every file below has already interned CPT:90951 before a bad line.
@@ -108,25 +134,6 @@ def test_malformed_claim_errors_equal_reference(kind, lines, at):
     want = _error_of(reference_parse_claims, bad)
     assert want[0] == len(head) + at + 1
     assert _error_of(lambda ls: list(iter_timelines(ls)), bad) == want
-
-
-def test_claims_do_not_share_item_lists():
-    lines = [
-        "B\tp0\tfemale\twhite\t1940\t2011-01-01\t",
-        "C\tp0\t2012-02-01\tcarrier\tCPT:90951\tICD10_DX:N183",
-        "C\tp0\t2012-03-01\tcarrier\tCPT:90951\tICD10_DX:N183",
-        "C\tp0\t2012-04-01\tcarrier",
-        "C\tp0\t2012-05-01\tcarrier",
-    ]
-    (timeline,) = iter_timelines(lines)
-    first = timeline.claims[0]
-    assert first.items[0] is timeline.claims[1].items[0]  # interned value, shared
-    first.items.append(CodedItem(CodeSystem.CPT, "50360"))
-    timeline.claims[2].items.append(CodedItem(CodeSystem.CPT, "36818"))
-    fresh = reference_parse_claims(lines)["p0"]
-    assert timeline.claims[1] == fresh.claims[1]
-    assert timeline.claims[3] == fresh.claims[3]
-    assert len(first.items) == 3 and len(timeline.claims[2].items) == 1
 
 
 # -- one-scan facts ---------------------------------------------------------------
@@ -165,7 +172,6 @@ def reference_facts(timeline, library):
     ckd = first_occurrence(timeline, library.ckd)
     return trig_mod._TimelineFacts(
         birth_year=timeline.beneficiary.birth_year,
-        claim_ordinals=tuple(c.service_date.toordinal() for c in timeline.claims),
         first_ckd=ckd.toordinal() if ckd else None,
         first_rrt=fo["rrt"].toordinal() if fo["rrt"] else None,
         first_by_task={k: (v.toordinal() if v else None) for k, v in fo.items()},
@@ -176,10 +182,10 @@ def reference_access_before_onset(timeline, dialysis, access):
     onset = first_occurrence(timeline, dialysis)
     if onset is None:
         return None
-    for claim in timeline.claims:
+    for claim in decode(timeline):
         if claim.service_date >= onset:
             break
-        if any(item in access for item in claim.items):
+        if any(pair in access.codes for pair in claim.items):
             return True
     return False
 
@@ -200,34 +206,64 @@ def test_first_occurrences_of_no_sets_is_empty():
     assert first_occurrences(tl, ()) == []
 
 
-# -- compiled timelines -------------------------------------------------------------
+_SETS = (LIB.ckd, LIB.dialysis, LIB.transplant, LIB.access_creation, task_codeset(LIB, "rrt"))
 
 
-def test_item_pair_ids_match_pair_id_for_shared_and_distinct_items():
+@given(claims_files())
+@example(  # the first dialysis claim follows claims without items
+    ["B\tp0\tfemale\twhite\t1940\t2011-01-01\t"]
+    + [_claim_line("p0", day, "carrier", []) for day in (0, 1)]
+    + [_claim_line("p0", 2, "carrier", ["CPT:90951"]), _claim_line("p0", 3, "carrier", [])]
+)
+@settings(max_examples=150, deadline=None)
+def test_first_occurrences_equal_first_occurrence_across_one_read(lines):
+    """Each timeline is checked as the read streams, before later ones intern their pairs."""
+    for timeline in iter_timelines(lines):
+        assert first_occurrences(timeline, _SETS) == [
+            first_occurrence(timeline, cs) for cs in _SETS
+        ]
+
+
+def test_membership_grows_with_pairs_interned_after_it_was_computed():
+    lines = [
+        "B\tp0\tfemale\twhite\t1940\t2011-01-01\t",
+        "C\tp0\t2012-02-01\tcarrier\tCPT:11111",
+        "B\tp1\tfemale\twhite\t1940\t2011-01-01\t",
+        "C\tp1\t2012-03-01\tcarrier\tCPT:11111\tCPT:90951",
+    ]
+    found = []
+    for timeline in iter_timelines(lines):
+        found.append(first_occurrences(timeline, [LIB.dialysis]))
+    assert found == [[None], [date(2012, 3, 1)]]
+    assert timeline.pairs.members(LIB.dialysis).tolist() == [False, True]
+
+
+# -- pair ids -----------------------------------------------------------------------
+
+
+def test_reader_pair_ids_for_shared_and_distinct_items():
     lines = [
         "B\tp0\tfemale\twhite\t1940\t2011-01-01\t",
         "C\tp0\t2012-02-01\tcarrier\tCPT:90951\tICD10_DX:N183",
         "C\tp0\t2012-03-01\tcarrier\tICD10_DX:N183\tCPT:90951\tCPT:50360",
+        "B\tp1\tfemale\twhite\t1940\t2011-01-01\t",
+        "B\tp2\tfemale\twhite\t1940\t2011-01-01\t",
+        "C\tp2\t2012-02-01\tcarrier\tCPT:50360\tHCPCS:A1",
     ]
-    (interned,) = iter_timelines(lines)
-    rebuilt = timeline_with(
-        make_beneficiary("p0"),
-        make_claim("p0", date(2012, 2, 1), [("CPT", "90951"), ("ICD10_DX", "N183")]),
-        make_claim(
-            "p0", date(2012, 3, 1), [("ICD10_DX", "N183"), ("CPT", "90951"), ("CPT", "50360")]
-        ),
-    )
-    interner = ClaimInterner()
-    a = CompiledTimeline(interned, interner)
-    b = CompiledTimeline(rebuilt, interner)
-    want = [
-        interner.pair_id(item.system.value, item.code)
-        for claim in rebuilt.claims
-        for item in claim.items
+    p0, p1, p2 = iter_timelines(lines)
+    assert p0.pair_ids.tolist() == [0, 1, 1, 0, 2]
+    assert p0.claim_ptr.tolist() == [0, 2, 5]
+    assert p1.claim_ptr.tolist() == [0] and p1.pair_ids.tolist() == []
+    assert p2.pair_ids.tolist() == [2, 3]  # ids are shared by every timeline of the read
+    assert p0.pairs is p1.pairs is p2.pairs
+    assert p0.pairs.pairs == [
+        (CodeSystem.CPT, "90951"),
+        (CodeSystem.ICD10_DX, "N183"),
+        (CodeSystem.CPT, "50360"),
+        (CodeSystem.HCPCS, "A1"),
     ]
-    assert a.item_ids.tolist() == b.item_ids.tolist() == want == [0, 1, 1, 0, 2]
-    assert a.claim_ptr.tolist() == [0, 2, 5]
-    assert CompiledTimeline(ClaimTimeline(make_beneficiary()), interner).claim_ptr.tolist() == [0]
+    for array in (p0.days, p0.claim_ptr, p0.pair_ids):
+        assert array.dtype == np.int64
 
 
 # -- trigger rows ---------------------------------------------------------------------

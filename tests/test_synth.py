@@ -14,7 +14,7 @@ from renalrisk.synth import (
 from renalrisk.triggers import enumerate_triggers
 
 from conftest import timelines_by_id
-from reference import first_occurrence, task_codeset
+from reference import decode, first_occurrence, task_codeset
 
 LIB = default_codeset_library()
 
@@ -82,7 +82,7 @@ def test_no_claims_after_death(small_cohort):
         if death is None:
             continue
         n_deceased += 1
-        assert all(c.service_date <= death for c in tl.claims)
+        assert all(c.service_date <= death for c in decode(tl))
     assert n_deceased > 0  # the fixture cohort should exercise mortality
 
 
@@ -121,10 +121,10 @@ def test_stage_codes_never_regress(small_cohort):
             continue  # post-onset coding jumps to end-stage by design
         best = 0
         seen = False
-        for claim in tl.claims:
-            for item in claim.items:
-                stage = stage_codes.get(item.code)
-                if stage is not None and item.system.value in ("ICD9_DX", "ICD10_DX"):
+        for claim in decode(tl):
+            for system, code in claim.items:
+                stage = stage_codes.get(code)
+                if stage is not None and system.value in ("ICD9_DX", "ICD10_DX"):
                     assert stage >= best, tl.beneficiary.id
                     best = max(best, stage)
                     seen = True
@@ -137,7 +137,7 @@ def test_claims_within_dataset_range(small_cohort):
     timelines = timelines_by_id(io.StringIO(claims_text))
     lo, hi = cfg.date_range
     for tl in timelines.values():
-        for claim in tl.claims:
+        for claim in decode(tl):
             assert lo <= claim.service_date <= hi
 
 
