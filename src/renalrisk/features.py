@@ -270,14 +270,11 @@ class FeatureMatrix:
 
 
 def feature_row(
-    beneficiary_id: str, trigger_date: str, classes: dict[str, int], indices: np.ndarray
+    beneficiary_id: str, trigger_date: str, classes: list[int], indices: np.ndarray, columns
 ) -> str:
-    cols = ",".join(map(str, indices.tolist()))
-    return "\t".join(
-        [beneficiary_id, trigger_date]
-        + [str(classes[task]) for task in TASKS]
-        + [cols]
-    )
+    """One feature-table row; ``classes`` are in TASKS order, ``columns[i]`` is ``str(i)``."""
+    cols = ",".join([columns[i] for i in indices.tolist()])
+    return "\t".join([beneficiary_id, trigger_date, *map(str, classes), cols])
 
 
 # Each valid class column and its class index.

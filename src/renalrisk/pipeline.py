@@ -562,18 +562,17 @@ def _run_triggers(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) ->
 
 
 def _run_featurize(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -> None:
-    # eligible trigger dates and labels per beneficiary
-    triggers_by_bid: dict[str, list[tuple[date, dict[str, int]]]] = {}
+    # eligible trigger dates, their ISO strings and class triples per beneficiary
+    triggers_by_bid: dict[str, list[tuple[date, str, list[int]]]] = {}
     all_ids: list[str] = []
-    last_bid = None
-    for trig in trig_mod.iter_trigger_rows(paths["triggers"]):
-        if trig.beneficiary_id != last_bid:
-            all_ids.append(trig.beneficiary_id)
-            last_bid = trig.beneficiary_id
-        if not trig.eligible:
-            continue
-        classes = {task: trig.labels[task].index(1) for task in TASKS}
-        triggers_by_bid.setdefault(trig.beneficiary_id, []).append((trig.trigger_date, classes))
+    for block in trig_mod.iter_trigger_rows(paths["triggers"]):
+        all_ids.append(block.beneficiary_id)
+        eligible = np.flatnonzero(block.reason_masks == 0).tolist()
+        if eligible:
+            grid, classes = block.grid, block.classes.T.tolist()
+            triggers_by_bid.setdefault(block.beneficiary_id, []).extend(
+                (grid.dates[i], grid.iso[i], classes[i]) for i in eligible
+            )
     train_ids, valid_ids, test_ids = trig_mod.split_beneficiaries(
         all_ids, cfg.split_ratios, cfg.split_seed
     )
@@ -604,13 +603,14 @@ def _run_featurize(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -
     counts = np.zeros(len(pairs) * feat_mod.N_BUCKETS, dtype=np.int64)
     for bid, trigs in triggers_by_bid.items():
         if bid in train_ids:
-            for active in compiled[bid].active_pair_buckets([t for t, _ in trigs]):
+            for active in compiled[bid].active_pair_buckets([t for t, _, _ in trigs]):
                 counts[active] += 1
     vocab = feat_mod.vocabulary_from_counts(counts, pairs, cfg.min_count)
     vocab_hash = vocab.content_hash()
     write_text_artifact(paths["vocab"], lineage, vocab.lines())
     colmap = feat_mod.column_map(vocab, pairs)
 
+    columns = [str(i) for i in range(len(vocab))]
     n_rows = {"train": 0, "valid": 0, "test": 0}
     with ExitStack() as stack:
         handles = {}
@@ -622,9 +622,9 @@ def _run_featurize(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -
             ct = compiled[bid]
             out = handles[split]
             trigs = triggers_by_bid[bid]
-            rows = ct.active_indices([t for t, _ in trigs], vocab, colmap)
-            for (t, classes), indices in zip(trigs, rows):
-                out.write(feat_mod.feature_row(bid, t.isoformat(), classes, indices) + "\n")
+            rows = ct.active_indices([t for t, _, _ in trigs], vocab, colmap)
+            for (_, iso, classes), indices in zip(trigs, rows):
+                out.write(feat_mod.feature_row(bid, iso, classes, indices, columns) + "\n")
             n_rows[split] += len(trigs)
     print(
         f"featurize: vocab {len(vocab)} columns; rows "
@@ -736,15 +736,10 @@ def read_predictions(path: Path) -> tuple[list[tuple[str, str]], np.ndarray, np.
 
 def _run_evaluate(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -> None:
     # prevalence over all eligible triggers
-    all_classes: dict[str, list[int]] = {task: [] for task in TASKS}
-    for trig in trig_mod.iter_trigger_rows(paths["triggers"]):
-        if not trig.eligible:
-            continue
-        for task in TASKS:
-            all_classes[task].append(trig.labels[task].index(1))
-    prevalence = eval_mod.prevalence_table(
-        {task: np.asarray(v, dtype=np.int64) for task, v in all_classes.items()}
-    )
+    eligible = [np.empty((len(TASKS), 0), dtype=np.int64)]
+    for block in trig_mod.iter_trigger_rows(paths["triggers"]):
+        eligible.append(block.classes[:, block.reason_masks == 0])
+    prevalence = eval_mod.prevalence_table(dict(zip(TASKS, np.concatenate(eligible, axis=1))))
 
     test_rows = list(feat_mod.iter_feature_rows(paths["features_test"]))
     test_ids = [(bid, tdate) for bid, tdate, _, _ in test_rows]

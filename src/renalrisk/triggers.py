@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .claims import ClaimTimeline, CodeSetLibrary, _iter_lines, first_occurrences
+from .claims import ClaimTimeline, CodeSetLibrary, _iter_lines, _parse_date, first_occurrences
 from .errors import ConfigError, ParseError, is_number, naming_file
 
 TASKS = ("rrt", "dialysis", "transplant")
@@ -122,49 +122,47 @@ _HORIZONS = np.asarray(HORIZON_DAYS, dtype=np.int64)
 _NEVER = 1 << 40
 
 
-@dataclass(frozen=True)
-class _MonthGrid:
-    """The month-firsts of a trigger range as dates, ordinals, years and ISO strings."""
+class _DateGrid:
+    """Trigger dates as dates, ordinals, years and ISO strings."""
 
-    dates: tuple[date, ...]
-    ordinals: np.ndarray
-    years: np.ndarray
-    iso: tuple[str, ...]
+    def __init__(self, dates: Iterable[date]):
+        self.dates = tuple(dates)
+        self.ordinals = np.asarray([t.toordinal() for t in self.dates], dtype=np.int64)
+        self.years = np.asarray([t.year for t in self.dates], dtype=np.int64)
+        self.ordinals.flags.writeable = self.years.flags.writeable = False  # shared by blocks
+        self.iso = tuple(t.isoformat() for t in self.dates)
 
 
 @lru_cache(maxsize=8)
-def _month_grid(start: date, end: date) -> _MonthGrid:
-    dates = tuple(month_firsts(start, end))
-    ordinals = np.asarray([t.toordinal() for t in dates], dtype=np.int64)
-    years = np.asarray([t.year for t in dates], dtype=np.int64)
-    ordinals.flags.writeable = years.flags.writeable = False  # shared by every timeline
-    return _MonthGrid(dates, ordinals, years, tuple(t.isoformat() for t in dates))
+def _month_grid(start: date, end: date) -> _DateGrid:
+    return _DateGrid(month_firsts(start, end))
 
 
 class TriggerBlock:
-    """The candidate triggers of one beneficiary: one per month-first of the range.
+    """The candidate triggers of one beneficiary, one per date of its grid.
 
-    ``reason_masks[i]`` holds the ineligibility reasons at month i as bits (0
-    means eligible), and ``classes[j, i]`` task j's class index there (read
-    only where eligible). Iterating yields one Trigger per month; the triggers
-    stage writes ``lines()`` and builds no Trigger.
+    ``grid.dates[i]`` is trigger i's date, ``reason_masks[i]`` its ineligibility
+    reasons as bits (0 means eligible), and ``classes[j, i]`` task j's class
+    index there (read only where eligible). Iterating yields the per-month view,
+    one Trigger per date, which no stage builds: the triggers stage writes
+    ``lines()``, and ``iter_trigger_rows`` reads them back into blocks.
     """
 
-    __slots__ = ("beneficiary_id", "_grid", "reason_masks", "classes")
+    __slots__ = ("beneficiary_id", "grid", "reason_masks", "classes")
 
-    def __init__(self, beneficiary_id: str, grid: _MonthGrid, reason_masks, classes):
+    def __init__(self, beneficiary_id: str, grid: _DateGrid, reason_masks, classes):
         self.beneficiary_id = beneficiary_id
-        self._grid = grid
+        self.grid = grid
         self.reason_masks = reason_masks
         self.classes = classes
 
     def __len__(self) -> int:
-        return len(self._grid.dates)
+        return len(self.grid.dates)
 
     def __iter__(self) -> Iterator[Trigger]:
         bid = self.beneficiary_id
         for t, mask, classes in zip(
-            self._grid.dates, self.reason_masks.tolist(), self.classes.T.tolist()
+            self.grid.dates, self.reason_masks.tolist(), self.classes.T.tolist()
         ):
             if mask:
                 yield Trigger(bid, t, False, _REASON_SETS[mask])
@@ -177,7 +175,7 @@ class TriggerBlock:
         prefix = self.beneficiary_id + "\t"
         out = []
         for iso, mask, classes in zip(
-            self._grid.iso, self.reason_masks.tolist(), self.classes.T.tolist()
+            self.grid.iso, self.reason_masks.tolist(), self.classes.T.tolist()
         ):
             if mask:
                 out.append(prefix + iso + _ROW_TAILS[mask])
@@ -278,59 +276,69 @@ def split_beneficiaries(
 # or "-" for ineligible triggers.
 
 
-# Each valid label bit string and its one-hot tuple, shared by every row that has it.
-_ONE_HOT_LABELS = dict(zip(_LABEL_BITS, _ONE_HOT))
-
-
-def _parse_reasons(raw: str, line_no: int) -> frozenset[IneligibilityReason]:
-    try:
-        return frozenset(IneligibilityReason(name) for name in raw.split(",") if name)
-    except ValueError:
-        raise ParseError(line_no, f"unknown ineligibility reason in {raw!r}")
-
-
-def _parse_trigger(
-    line: str,
-    line_no: int,
-    dates: dict[str, date],
-    reason_sets: dict[str, frozenset[IneligibilityReason]],
-) -> Trigger:
-    """Parse one trigger row, interning dates and reason sets in the read's tables."""
-    fields = line.rstrip("\n").split("\t")
-    if len(fields) != 4 + len(TASKS):
-        raise ParseError(line_no, f"bad trigger row: {line!r}")
-    bid, date_raw, eligible_raw, reasons_raw = fields[:4]
-    if not bid:
-        raise ParseError(line_no, "trigger row with empty beneficiary_id")
-    if date_raw not in dates:
-        try:
-            dates[date_raw] = date.fromisoformat(date_raw)
-        except ValueError:
-            raise ParseError(line_no, f"bad trigger_date {date_raw!r} (expected YYYY-MM-DD)")
+def _tail_codes(tail: str, line_no: int) -> list[int]:
+    """The reason mask and then each task's class of a row, from its fields after the date."""
+    eligible_raw, reasons_raw, *labels = tail.rstrip("\n").split("\t")
     if eligible_raw not in ("0", "1"):
         raise ParseError(line_no, f"bad eligible flag {eligible_raw!r} (expected 0 or 1)")
-    if reasons_raw not in reason_sets:
-        reason_sets[reasons_raw] = _parse_reasons(reasons_raw, line_no)
-    eligible = eligible_raw == "1"
-    labels = None
-    if eligible:
-        labels = {}
-        for task, bits in zip(TASKS, fields[4:]):
-            label = _ONE_HOT_LABELS.get(bits)
-            if label is None:
-                raise ParseError(
-                    line_no, f"bad {task} label {bits!r} (expected a one-hot bit string)"
-                )
-            labels[task] = label
-    return Trigger(bid, dates[date_raw], eligible, reason_sets[reasons_raw], labels)
+    mask = 0
+    for name in filter(None, reasons_raw.split(",")):
+        try:
+            mask |= 1 << _REASONS.index(IneligibilityReason(name))
+        except ValueError:
+            raise ParseError(line_no, f"unknown ineligibility reason in {reasons_raw!r}")
+    if eligible_raw == "0":
+        if not mask:
+            raise ParseError(line_no, "ineligible trigger row with no ineligibility reason")
+        return [mask] + [N_CLASSES - 1] * len(TASKS)  # an ineligible row's labels are not read
+    for task, bits in zip(TASKS, labels):
+        if bits not in _LABEL_BITS:
+            raise ParseError(line_no, f"bad {task} label {bits!r} (expected a one-hot bit string)")
+    if mask:
+        raise ParseError(line_no, f"eligible trigger row with reasons {reasons_raw!r}")
+    return [0] + [_LABEL_BITS.index(bits) for bits in labels]
 
 
-def iter_trigger_rows(source) -> Iterator[Trigger]:
-    """Parse a trigger table; malformed rows raise ParseError with their line number."""
+def iter_trigger_rows(source) -> Iterator[TriggerBlock]:
+    """Read a trigger table back into TriggerBlocks, one per run of a beneficiary's rows.
+
+    The inverse of ``TriggerBlock.lines()``: each line is split once, at its
+    second tab, and each distinct date and tail (the fields after the date) is
+    checked once per read. Malformed rows raise ParseError with their line number.
+    """
     dates: dict[str, date] = {}
-    reason_sets: dict[str, frozenset[IneligibilityReason]] = {}
+    tail_ids: dict[str, int] = {}
+    codes = np.empty((0, 1 + len(TASKS)), dtype=np.int64)  # row i: _tail_codes of tail id i
+    grids: dict[tuple[str, ...], _DateGrid] = {}
+    bid, run = None, []  # the date and tail id of each row of bid's run so far
+
+    def block() -> TriggerBlock:
+        run_dates, tails = zip(*run)
+        if run_dates not in grids:
+            grids[run_dates] = _DateGrid(dates[d] for d in run_dates)
+        rows = codes[list(tails)]
+        return TriggerBlock(bid, grids[run_dates], rows[:, 0], rows[:, 1:].T)
+
     with naming_file(source):
         for line_no, line in enumerate(_iter_lines(source), start=1):
             if not line.strip() or line.startswith("#"):
                 continue
-            yield _parse_trigger(line, line_no, dates, reason_sets)
+            fields = line.split("\t", 2)
+            tail_id = tail_ids.get(fields[-1]) if len(fields) == 3 else None
+            if tail_id is None and len(line.rstrip("\n").split("\t")) != 4 + len(TASKS):
+                raise ParseError(line_no, f"bad trigger row: {line!r}")
+            row_bid, date_raw, tail = fields
+            if not row_bid:
+                raise ParseError(line_no, "trigger row with empty beneficiary_id")
+            if date_raw not in dates:
+                dates[date_raw] = _parse_date(date_raw, line_no, "trigger_date")
+            if tail_id is None:
+                codes = np.vstack([codes, _tail_codes(tail, line_no)])
+                tail_id = tail_ids[tail] = len(codes) - 1
+            if row_bid != bid:
+                if run:
+                    yield block()
+                bid, run = row_bid, []
+            run.append((date_raw, tail_id))
+        if run:
+            yield block()

@@ -8,8 +8,10 @@ equivalence tests compare the two:
   service date and its ``(system, code)`` items), where ``iter_timelines``
   validates each distinct token once per read and yields columns;
   ``decode`` turns a columnar ``ClaimTimeline`` back into the per-claim form,
-  which the oracles below read. ``reference_parse_trigger_row`` parses a
-  trigger row without any checks, against ``iter_trigger_rows``.
+  which the oracles below read.
+- ``reference_trigger_rows`` parses and checks each trigger row on its own
+  into one ``Trigger`` (the per-row form), where ``iter_trigger_rows`` checks
+  each distinct date and tail once per read and yields ``TriggerBlock``s.
 - ``first_occurrence`` scans a timeline's claims for one code set, against
   the membership gathers of ``first_occurrences``; ``task_codeset`` spells
   out each task's code set, rrt as the union of the dialysis and transplant
@@ -155,15 +157,62 @@ def reference_parse_claims(lines: list[str]) -> dict[str, tuple[Beneficiary, lis
     return timelines
 
 
-def reference_parse_trigger_row(line: str) -> Trigger:
+# Each valid label bit string and its one-hot tuple, shared by every row that has it.
+_ONE_HOT_LABELS = {"".join(map(str, label)): label for label in _ONE_HOT}
+
+
+def _parse_reasons(raw: str, line_no: int) -> frozenset[IneligibilityReason]:
+    try:
+        return frozenset(IneligibilityReason(name) for name in raw.split(",") if name)
+    except ValueError:
+        raise ParseError(line_no, f"unknown ineligibility reason in {raw!r}")
+
+
+def _parse_trigger(
+    line: str,
+    line_no: int,
+    dates: dict[str, date],
+    reason_sets: dict[str, frozenset[IneligibilityReason]],
+) -> Trigger:
+    """Parse one trigger row, interning dates and reason sets in the read's tables."""
     fields = line.rstrip("\n").split("\t")
+    if len(fields) != 4 + len(TASKS):
+        raise ParseError(line_no, f"bad trigger row: {line!r}")
     bid, date_raw, eligible_raw, reasons_raw = fields[:4]
+    if not bid:
+        raise ParseError(line_no, "trigger row with empty beneficiary_id")
+    if date_raw not in dates:
+        try:
+            dates[date_raw] = date.fromisoformat(date_raw)
+        except ValueError:
+            raise ParseError(line_no, f"bad trigger_date {date_raw!r} (expected YYYY-MM-DD)")
+    if eligible_raw not in ("0", "1"):
+        raise ParseError(line_no, f"bad eligible flag {eligible_raw!r} (expected 0 or 1)")
+    if reasons_raw not in reason_sets:
+        reason_sets[reasons_raw] = _parse_reasons(reasons_raw, line_no)
     eligible = eligible_raw == "1"
-    reasons = frozenset(IneligibilityReason(r) for r in reasons_raw.split(",") if r)
     labels = None
     if eligible:
-        labels = {task: tuple(int(b) for b in bits) for task, bits in zip(TASKS, fields[4:])}
-    return Trigger(bid, date.fromisoformat(date_raw), eligible, reasons, labels)
+        labels = {}
+        for task, bits in zip(TASKS, fields[4:]):
+            label = _ONE_HOT_LABELS.get(bits)
+            if label is None:
+                raise ParseError(
+                    line_no, f"bad {task} label {bits!r} (expected a one-hot bit string)"
+                )
+            labels[task] = label
+    return Trigger(bid, dates[date_raw], eligible, reason_sets[reasons_raw], labels)
+
+
+def reference_trigger_rows(lines: Iterable[str]) -> list[Trigger]:
+    """One Trigger per row of a trigger table, each row parsed and checked on its own."""
+    dates: dict[str, date] = {}
+    reason_sets: dict[str, frozenset[IneligibilityReason]] = {}
+    return [
+        _parse_trigger(line, line_no, dates, reason_sets)
+        for line_no, line in enumerate(lines, start=1)
+        if line.strip() and not line.startswith("#")
+    ]
 
 
 def trigger_row(trigger: Trigger) -> str:

@@ -7,17 +7,45 @@ breakage in the unit tests.
 
 import importlib.util
 import sys
+from datetime import date
 from pathlib import Path
+
+import pytest
+
+from renalrisk import triggers
+from renalrisk.claims import default_codeset_library
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
-def test_every_traced_attribute_exists_and_none_is_left_wrapped(monkeypatch):
+@pytest.fixture
+def tracing(monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look their module up
-    spec.loader.exec_module(tracing)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_attribute_exists_and_none_is_left_wrapped(tracing):
     assert tracing.wrapped_attributes() == []
     with tracing.installed(tracing.Tracer("probe")):
         assert len(tracing.wrapped_attributes()) == len(tracing._instruments(tracing.Tracer("n")))
     assert tracing.wrapped_attributes() == []
+
+
+def test_trigger_counters_read_blocks_as_triggers(tracing, eligible_timeline):
+    """The tracer counts eligible candidates by iterating a block's Triggers (``.eligible``),
+    and read passes by calls of ``iter_trigger_rows``."""
+    trigger_range = (date(2013, 1, 1), date(2013, 12, 1))
+    tracer = tracing.Tracer("probe")
+    with tracing.installed(tracer):
+        block = triggers.enumerate_triggers(
+            eligible_timeline, trigger_range, default_codeset_library(), date(2016, 12, 31)
+        )
+        (read,) = triggers.iter_trigger_rows(block.lines())
+    eligible = [trig.trigger_date for trig in read if trig.eligible]
+    assert 0 < len(eligible) < len(block) == 12
+    assert tracer.counters["triggers.candidates"] == 12
+    assert tracer.counters["triggers.eligible"] == len(eligible)
+    assert tracer.counters["triggers.iter_trigger_rows.passes"] == 1

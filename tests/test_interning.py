@@ -1,13 +1,15 @@
-"""The columnar claims reader, its pair table and facts, against per-token references.
+"""The columnar claims and trigger readers, the pair table and facts, against per-token
+references.
 
 The reference parsers in ``reference.py`` validate every token on every line
 and build one object per claim or row. The readers validate each distinct
 token once per read; the claims reader yields columns, which ``decode`` turns
-back into the per-claim form. Both must give equal timelines and trigger
-rows, and raise the same ParseError (line number and message) on malformed
-input.
+back into the per-claim form, and the trigger reader yields blocks, which
+iterate as Triggers. Both must give equal timelines and trigger rows, and
+raise the same ParseError (line number and message) on malformed input.
 """
 
+import itertools
 from datetime import date, timedelta
 
 import numpy as np
@@ -24,17 +26,16 @@ from renalrisk.claims import (
     first_occurrences,
     iter_timelines,
 )
-from renalrisk.errors import DataError
 from renalrisk.evaluation import access_before_onset
 from renalrisk.triggers import TASKS, _facts, enumerate_triggers, iter_trigger_rows
 
-from conftest import make_beneficiary, make_claim, timeline_with
+from conftest import make_beneficiary, make_claim, monthly_claims, timeline_with
 from reference import (
     decode,
     decoded,
     first_occurrence,
     reference_parse_claims,
-    reference_parse_trigger_row,
+    reference_trigger_rows,
     task_codeset,
 )
 
@@ -269,27 +270,140 @@ def test_reader_pair_ids_for_shared_and_distinct_items():
 # -- trigger rows ---------------------------------------------------------------------
 
 
-@given(st.lists(fact_timelines(), max_size=3))
-@settings(max_examples=60, deadline=None)
-def test_interned_trigger_reader_equals_reference(timelines):
-    rows = [
-        row
-        for timeline in timelines
-        for row in enumerate_triggers(
-            timeline, (date(2012, 3, 1), date(2013, 6, 1)), LIB, date(2016, 12, 31)
-        ).lines()
-    ]
-    assert list(iter_trigger_rows(rows)) == [reference_parse_trigger_row(r) for r in rows]
+_RANGES = [
+    (date(2012, 3, 1), date(2013, 6, 1)),
+    (date(2012, 3, 1), date(2012, 5, 1)),
+    (date(2013, 1, 15), date(2013, 4, 1)),  # starts mid-month
+]
+# Per field, values a mutation writes into it, valid there or not; a label value
+# goes into any of the three label fields. "a\tb" makes one field more.
+_LABEL_VALUES = ("000001", "100000", "-", "00001", "011000", "00000x", "")
+_FIELD_VALUES = (
+    ("", "b1", "b2", "a\tb"),
+    ("2012-03-01", "20120301", "2012-03-15", "2013-13-01", ""),
+    ("0", "1", "yes", ""),
+    ("under_65", "no_ckd_dx,under_65", "under_65,under_65", ",", "", "under_65,too_young"),
+) + (_LABEL_VALUES,) * len(TASKS)
+_ANY_VALUE = sorted(set().union(*_FIELD_VALUES))
 
 
-def test_trigger_reader_shares_interned_values():
-    rows = [
-        "b1\t2013-01-01\t1\t\t000001\t000001\t100000",
-        "b2\t2013-01-01\t1\t\t000001\t000001\t000001",
-    ]
-    a, b = iter_trigger_rows(rows)
-    assert a.trigger_date is b.trigger_date and a.reasons is b.reasons
-    assert a.labels["rrt"] is b.labels["transplant"]
-    assert a.labels is not b.labels
-    with pytest.raises(DataError):
-        list(iter_trigger_rows(["b1\t2013-01-01\t1\t\t000001\t000001\t-"]))
+@st.composite
+def screened_timelines(draw):
+    """Monthly claims, CKD-coded or not, from 2011 on, plus a few coded claims: many of
+    its triggers are eligible, and some have an event within a horizon."""
+    claims = monthly_claims(
+        "b1",
+        date(2011, 1, 1),
+        draw(st.integers(min_value=0, max_value=40)),
+        items=[draw(st.sampled_from([("ICD10_DX", "N183"), ("ICD10_DX", "E001")]))],
+    )
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        day = date(2011, 6, 1) + timedelta(days=draw(st.integers(min_value=0, max_value=900)))
+        claims.append(make_claim("b1", day, [draw(_fact_codes)]))
+    birth_year = draw(st.sampled_from([1940, 1948]))
+    return timeline_with(make_beneficiary("b1", birth_year=birth_year), *claims)
+
+
+@st.composite
+def trigger_tables(draw):
+    """Rows of enumerate_triggers(...).lines() for a few timelines, under beneficiary ids
+    that may repeat, with a comment and a blank line in between."""
+    rows = ["#! {}"]
+    for timeline in draw(st.lists(screened_timelines(), max_size=3)):
+        bid = draw(st.sampled_from(["b1", "b2", "b3"]))
+        trigger_range = draw(st.sampled_from(_RANGES))
+        block = enumerate_triggers(timeline, trigger_range, LIB, date(2016, 12, 31))
+        rows += [bid + row[row.index("\t") :] for row in block.lines()]
+        rows.append("")
+    return rows
+
+
+def _outcome(read, rows):
+    """The Triggers read from rows, or the line number and message of the ParseError."""
+    try:
+        return read(rows)
+    except ParseError as exc:
+        return exc.line_number, str(exc)
+
+
+def _read_blocks(rows):
+    blocks = list(iter_trigger_rows(rows))
+    assert all(a.beneficiary_id != b.beneficiary_id for a, b in zip(blocks, blocks[1:]))
+    return [trig for block in blocks for trig in block]
+
+
+_edits = st.tuples(
+    st.integers(min_value=0, max_value=3 + len(TASKS)),  # which field
+    st.integers(min_value=0),  # which value, from the field's values or from all
+    st.booleans(),  # from all
+)
+_mutations = st.none() | st.tuples(
+    st.booleans(),  # prefer an eligible row
+    st.integers(min_value=0),  # which row, modulo the candidates
+    st.lists(_edits, min_size=1, max_size=3),  # several bad fields pin the check order
+)
+_TWO_ROWS = ["b1\t2012-03-01\t1\t\t000001\t000001\t000001", "b1\t2012-04-01\t0\tno_ckd_dx\t-\t-\t-"]
+
+
+def _mutated(rows, body, mutation):
+    prefer_eligible, row, edits = mutation
+    eligible = [i for i in body if rows[i].split("\t")[2] == "1"]
+    candidates = eligible if prefer_eligible and eligible else body
+    at = candidates[row % len(candidates)]
+    fields = rows[at].split("\t")
+    for field, value, from_all in edits:
+        values = _ANY_VALUE if from_all else _FIELD_VALUES[field]
+        fields[field] = values[value % len(values)]
+    return rows[:at] + ["\t".join(fields)] + rows[at + 1 :]
+
+
+def _assert_reader_equals_reference(rows):
+    """The block reader gives the per-row oracle's Triggers or its exact ParseError.
+
+    It refuses two rows the oracle reads, which no block holds: an eligible row
+    with reasons and an ineligible row without; the first such row is named.
+    """
+    want = _outcome(reference_trigger_rows, rows)
+    have = _outcome(_read_blocks, rows)
+    if not isinstance(want, list) or have == want:
+        assert have == want
+        return
+    body = [i for i, row in enumerate(rows) if row.strip() and not row.startswith("#")]
+    n, trig = next((n, t) for n, t in zip(body, want) if t.eligible == bool(t.reasons))
+    reasons = rows[n].split("\t")[3]
+    if trig.eligible:
+        refusal = f"eligible trigger row with reasons {reasons!r}"
+    else:
+        refusal = "ineligible trigger row with no ineligibility reason"
+    assert have == (n + 1, f"line {n + 1}: {refusal}")
+
+
+@given(trigger_tables(), _mutations)
+@example(_TWO_ROWS, (True, 0, [(3, 0, False)]))  # an eligible row with reasons
+@example(_TWO_ROWS, (False, 1, [(3, 3, False)]))  # an ineligible row with none
+@settings(max_examples=300, deadline=None)
+def test_trigger_reader_equals_per_row_reference(rows, mutation):
+    """Rows as the triggers stage writes them, and with fields of one row replaced.
+
+    Unchanged rows read back into blocks whose lines() are the rows again.
+    """
+    body = [i for i, row in enumerate(rows) if row and not row.startswith("#")]
+    if body and mutation is not None:
+        rows = _mutated(rows, body, mutation)
+    elif body:
+        canonical = [line for block in iter_trigger_rows(rows) for line in block.lines()]
+        assert canonical == [rows[i] for i in body]
+    _assert_reader_equals_reference(rows)
+
+
+def test_trigger_reader_check_order_equals_reference():
+    """Every row with two of its fields replaced, read first and after rows that
+    interned a date and tails: the first failing check is the oracle's."""
+    for base in _TWO_ROWS:
+        for i, j in itertools.combinations(range(4 + len(TASKS)), 2):
+            for values in itertools.product(_FIELD_VALUES[i], _FIELD_VALUES[j]):
+                fields = base.split("\t")
+                fields[i], fields[j] = values
+                row = "\t".join(fields)
+                _assert_reader_equals_reference([row])
+                _assert_reader_equals_reference(_TWO_ROWS + [row])

@@ -150,6 +150,18 @@ def _copy_of_run(completed_run, tmp_path):
     return workdir, path
 
 
+def test_reproduce_builds_no_trigger(tmp_path, monkeypatch, capsys):
+    """Every stage works on TriggerBlocks; the per-month Trigger is a view for callers."""
+
+    def no_trigger(*args, **kwargs):
+        raise AssertionError("a stage built a Trigger")
+
+    monkeypatch.setattr("renalrisk.triggers.Trigger", no_trigger)
+    cfg_path = write_config(tmp_path, synth={"n_beneficiaries": 150, "target_365d_prevalence": 0.05})
+    assert main(["reproduce", "--config", str(cfg_path)]) == 0
+    assert (tmp_path / "run" / "report.json").exists()
+
+
 def test_featurize_refuses_a_malformed_trigger_row(completed_run, tmp_path, capsys):
     workdir, cfg_path = _copy_of_run(completed_run, tmp_path)
     triggers = workdir / "triggers.tsv"

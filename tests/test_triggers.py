@@ -326,7 +326,8 @@ def test_split_is_always_a_partition(ids, seed):
 
 def test_trigger_row_round_trip(eligible_timeline):
     block = enumerate_triggers(eligible_timeline, RANGE, LIB, DATASET_END)
-    assert list(iter_trigger_rows(block.lines())) == list(block)
+    (read,) = iter_trigger_rows(block.lines())
+    assert list(read) == list(block) and read.lines() == block.lines()
 
 
 def test_month_firsts_mid_month_start():
@@ -369,6 +370,8 @@ _GOOD_ROW = "b1\t2013-06-01\t1\t\t000001\t010000\t000001"
         ("b1\t2013-06-01\t1\t\t000001\t010000\t00000x", "transplant label"),
         ("\t2013-06-01\t1\t\t000001\t010000\t000001", "beneficiary_id"),
         ("b1\t2013-06-01\t1\t\t000001\t010000", "bad trigger row"),
+        ("b1\t2013-06-01\t1\tunder_65\t000001\t010000\t000001", "eligible .* with reasons"),
+        ("b1\t2013-06-01\t0\t\t-\t-\t-", "ineligible .* no ineligibility reason"),
     ],
 )
 def test_malformed_trigger_row_is_a_data_error(row, message):
