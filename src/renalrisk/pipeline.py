@@ -564,9 +564,14 @@ def _run_triggers(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) ->
 def _run_featurize(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -> None:
     # eligible trigger dates, their ISO strings and class triples per beneficiary
     triggers_by_bid: dict[str, list[tuple[date, str, list[int]]]] = {}
-    all_ids: list[str] = []
+    all_ids: set[str] = set()
     for block in trig_mod.iter_trigger_rows(paths["triggers"]):
-        all_ids.append(block.beneficiary_id)
+        if block.beneficiary_id in all_ids:
+            raise DataError(
+                f"{paths['triggers']}: the rows of beneficiary {block.beneficiary_id!r} "
+                "are not contiguous"
+            )
+        all_ids.add(block.beneficiary_id)
         eligible = np.flatnonzero(block.reason_masks == 0).tolist()
         if eligible:
             grid, classes = block.grid, block.classes.T.tolist()
@@ -660,17 +665,10 @@ def _run_train(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path], only_
             continue
         y_train = train_matrix.y[task]
         y_valid = valid_matrix.y[task]
-        if cfg.grid:
-            grid = tuple(replace(hp, seed=hp.seed + ti) for hp in cfg.grid)
-            hp, result, _ = model_mod.tune(
-                grid, train_matrix, y_train, valid_matrix, y_valid, vocab_hash=vocab_hash
-            )
-        else:
-            assert cfg.hyperparams is not None
-            hp = replace(cfg.hyperparams, seed=cfg.hyperparams.seed + ti)
-            result = model_mod.train(
-                train_matrix, y_train, valid_matrix, y_valid, hp, vocab_hash=vocab_hash
-            )
+        grid = tuple(replace(hp, seed=hp.seed + ti) for hp in cfg.grid or (cfg.hyperparams,))
+        hp, result, _ = model_mod.tune(
+            grid, train_matrix, y_train, valid_matrix, y_valid, vocab_hash=vocab_hash
+        )
         with atomic_output(paths[f"model_{task}"]) as tmp:
             model_mod.save_model(tmp, result.params, hp, task, lineage)
         log_lines = ["epoch\tstep\tlearning_rate\ttrain_loss\tvalid_loss"]

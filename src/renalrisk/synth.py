@@ -16,6 +16,10 @@ The per-month event hazard is ``min(cap, c * exp(w * (severity - 5)))`` where
 by bisection so the 365-day event prevalence over approximately-eligible
 trigger months matches ``target_365d_prevalence``.
 
+Every generated date is a day ordinal (``date.toordinal``) read off one
+``_Calendar`` of the date range, and no claim dated after a beneficiary's
+death day is written.
+
 Beneficiary ``k`` draws everything from a PCG64 stream seeded with
 ``(seed, k)``, so output is byte-identical for a given config no matter how
 generation is chunked across workers.
@@ -23,10 +27,9 @@ generation is chunked across workers.
 
 from __future__ import annotations
 
-import calendar
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import date
 from typing import IO, Mapping
 
 import numpy as np
@@ -36,7 +39,8 @@ from .claims import DEFAULT_CODESETS
 
 SEV_MAX = 18.0  # ceiling of the latent scale; coding saturates near 14
 SEV_REF = 5.0
-ICD10_CUTOVER = date(2015, 10, 1)
+ICD10_CUTOVER = date(2015, 10, 1).toordinal()  # claims from this day on are ICD-10 coded
+_NEVER = date.max.toordinal() + 1  # the death day of a beneficiary who does not die
 
 DIALYSIS_CODES = tuple(DEFAULT_CODESETS["dialysis"]["CPT"])
 TRANSPLANT_CODES = tuple(DEFAULT_CODESETS["transplant"]["CPT"])
@@ -144,23 +148,28 @@ class GenerationSummary:
 # Calendar helpers
 
 
-def _month_count(cfg: SynthConfig) -> int:
-    start, end = cfg.date_range
-    return (end.year - start.year) * 12 + (end.month - start.month) + 1
+class _Calendar:
+    """The months of a date range, from the month of its first day to that of its last.
 
+    Month ``m`` starts on day ordinal ``starts[m]`` and has ``days[m]`` days;
+    ``iso[d - starts[0]]`` is the ISO string of day ordinal ``d``.
+    """
 
-def _month_date(cfg: SynthConfig, m: int) -> date:
-    start = cfg.date_range[0]
-    total = start.year * 12 + (start.month - 1) + m
-    return date(total // 12, total % 12 + 1, 1)
+    def __init__(self, date_range: tuple[date, date]):
+        start, end = date_range
+        self.n_months = (end.year - start.year) * 12 + (end.month - start.month) + 1
+        months = range(start.month - 1, start.month + self.n_months)  # months since Jan of start
+        bounds = [date(start.year + m // 12, m % 12 + 1, 1).toordinal() for m in months]
+        self.starts = bounds[:-1]
+        self.days = [b - a for a, b in zip(bounds, bounds[1:])]
+        self.iso = [date.fromordinal(d).isoformat() for d in range(bounds[0], bounds[-1])]
 
+    def day(self, m: int, u: float) -> int:
+        """The day of month ``m`` that a uniform ``u`` in [0, 1) picks."""
+        return self.starts[m] + int(u * self.days[m])
 
-def _days_in_months(cfg: SynthConfig) -> np.ndarray:
-    out = np.empty(_month_count(cfg), dtype=np.int64)
-    for m in range(out.size):
-        d = _month_date(cfg, m)
-        out[m] = calendar.monthrange(d.year, d.month)[1]
-    return out
+    def isoformat(self, day: int) -> str:
+        return self.iso[day - self.starts[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +223,13 @@ def _stage(sev: float) -> int:
 
 @dataclass
 class _Profile:
-    index: int
     bid: str
     sex: str
     race: str
     birth_year: int
     enroll_month: int
-    death_month: int | None  # month index or None
-    death_day: int | None
+    last_month: int  # the death month, or the last month of the range
+    death: int  # day ordinal, or _NEVER
     is_ckd: bool
     dx_month: int  # may precede enrollment for prevalent disease
     sev0: float
@@ -231,8 +239,9 @@ class _Profile:
     crash_rate: float = 0.0
 
 
-def _draw_profile(cfg: SynthConfig, k: int, n_months: int, days_in_month: np.ndarray):
+def _draw_profile(cfg: SynthConfig, k: int, cal: _Calendar):
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, k))))
+    n_months = cal.n_months
     start_year = cfg.date_range[0].year
     u = rng.random(8)
     sex = "female" if u[0] < 0.55 else ("male" if u[0] < 0.99 else "unknown")
@@ -269,22 +278,20 @@ def _draw_profile(cfg: SynthConfig, k: int, n_months: int, days_in_month: np.nda
     death_hazard = cfg.monthly_death_hazard * (1.0 + 0.05 * max(0, age0 - 70))
     du = rng.random(n_months)
     death_hits = np.flatnonzero(du < death_hazard)
-    death_month: int | None = None
-    death_day: int | None = None
     if death_hits.size and death_hits[0] >= enroll_month:
-        death_month = int(death_hits[0])
-        death_day = 1 + int(rng.random() * days_in_month[death_month])
+        last_month = int(death_hits[0])
+        death = cal.day(last_month, rng.random())
     else:
+        last_month, death = n_months - 1, _NEVER
         rng.random()  # keep the stream aligned whether or not death lands
     profile = _Profile(
-        index=k,
         bid=f"B{k:06d}",
         sex=sex,
         race=race,
         birth_year=birth_year,
         enroll_month=enroll_month,
-        death_month=death_month,
-        death_day=death_day,
+        last_month=last_month,
+        death=death,
         is_ckd=is_ckd,
         dx_month=dx_month,
         sev0=sev0,
@@ -321,8 +328,6 @@ def _hazard_weight_vector(cfg: SynthConfig, p: _Profile, sev: np.ndarray) -> np.
     if not p.is_ckd:
         return w
     start = max(p.dx_month, p.enroll_month, 0)
-    if start >= n_months:
-        return w
     w[start:] = np.exp(cfg.hazard_severity_weight * (sev[start:] - SEV_REF))
     return w
 
@@ -343,10 +348,10 @@ def calibrate_hazard_multiplier(cfg: SynthConfig) -> tuple[float, float]:
     """
     if cfg.target_365d_prevalence == 0.0:
         return 0.0, 0.0
-    n_months = _month_count(cfg)
+    cal = _Calendar(cfg.date_range)
+    n_months = cal.n_months
     if n_months < 25:
         raise ConfigError("date_range too short: need >= 25 months for triggers plus buffer")
-    days_in_month = _days_in_months(cfg)
     n_cal = min(cfg.n_beneficiaries, 6000)
     months = np.arange(n_months)
     weights = np.zeros((n_cal, n_months))
@@ -357,7 +362,7 @@ def calibrate_hazard_multiplier(cfg: SynthConfig) -> tuple[float, float]:
     # trigger months: a year of history behind, a year of buffer ahead
     t_lo, t_hi = 12, n_months - 12
     for k in range(n_cal):
-        p, _ = _draw_profile(cfg, k, n_months, days_in_month)
+        p, _ = _draw_profile(cfg, k, cal)
         if not p.is_ckd:
             continue
         sev = _severity_vector(p, n_months)
@@ -365,24 +370,18 @@ def calibrate_hazard_multiplier(cfg: SynthConfig) -> tuple[float, float]:
         rate = _claims_rate_vector(cfg, p, sev)
         recency[k, 1:] = 1.0 - np.exp(-rate[:-1])
         age = (start_year + months // 12) - p.birth_year
-        elig = (
+        base_elig[k] = (
             (months >= max(t_lo, p.enroll_month + 12))
             & (months < t_hi)
             & (months >= p.dx_month + 1)
             & (age >= 65)
+            & (months <= p.last_month)
         )
-        if p.death_month is not None:
-            elig &= months <= p.death_month
-        base_elig[k] = elig
         rng_events = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((cfg.seed, k, 0xCA1)))
         )
         u_event[k] = rng_events.random(n_months)
-        # mask months where the generator would not draw an event
-        active_from = max(p.dx_month, p.enroll_month, 0)
-        u_event[k, :active_from] = 2.0
-        if p.death_month is not None:
-            u_event[k, p.death_month + 1 :] = 2.0
+        u_event[k, p.last_month + 1 :] = 2.0  # the generator draws no event after death
     if not base_elig.any() or not weights.any():
         raise ConfigError(
             "infeasible prevalence target: the sampled cohort yields no "
@@ -526,51 +525,44 @@ def _claim_type_for(u: float, sev: float) -> str:
     return _CLAIM_TYPE_NAMES[int(np.searchsorted(edges, u, side="right"))]
 
 
+def _ckd_stage_item(day: int, stage: int) -> str:
+    """The diagnosis item of CKD stage ``stage`` (6: end-stage) in the coding era of ``day``."""
+    return f"ICD9_DX:585{stage}" if day < ICD10_CUTOVER else f"ICD10_DX:N18{stage}"
+
+
 def _generate_beneficiary(
     cfg: SynthConfig,
     pools: _Pools,
     hazard_multiplier: float,
     k: int,
-    n_months: int,
-    days_in_month: np.ndarray,
-) -> tuple[list[str], list[str], dict]:
+    cal: _Calendar,
+) -> tuple[list[str], list[str]]:
     """Claim lines and ground-truth lines for one beneficiary."""
-    p, rng = _draw_profile(cfg, k, n_months, days_in_month)
-    start = cfg.date_range[0]
+    n_months = cal.n_months
+    p, rng = _draw_profile(cfg, k, cal)
     sev = _severity_vector(p, n_months)
     hazard = np.minimum(
         cfg.monthly_hazard_scale, hazard_multiplier * _hazard_weight_vector(cfg, p, sev)
     )
 
-    # event month: first month where the hazard fires, while alive and enrolled
+    # event month: the first month the hazard fires, unless that is after death;
+    # the hazard is zero before enrollment
     u_event = rng.random(n_months)
-    candidates = np.flatnonzero(u_event < hazard)
-    event_month: int | None = None
-    for m in candidates:
-        if m < p.enroll_month:
-            continue
-        if p.death_month is not None and m > p.death_month:
-            break
-        event_month = int(m)
-        break
+    fired = np.flatnonzero(u_event < hazard)
+    event_month = int(fired[0]) if fired.size and fired[0] <= p.last_month else None
 
     u_evt_details = rng.random(4)
     event_type = "dialysis" if u_evt_details[0] >= cfg.transplant_share else "transplant"
-    onset_date: date | None = None
+    onset: int | None = None
     if event_month is not None:
-        dim = int(days_in_month[event_month])
-        onset_day = 1 + int(u_evt_details[1] * dim)
-        if p.death_month == event_month and p.death_day is not None:
-            if onset_day > p.death_day:
-                event_month = None
-        if event_month is not None:
-            onset_date = _month_date(cfg, event_month) + timedelta(days=onset_day - 1)
+        onset = cal.day(event_month, u_evt_details[1])
+        if onset > p.death:
+            onset = None
 
     # background claims
     rate = _claims_rate_vector(cfg, p, sev)
     active = np.zeros(n_months, dtype=bool)
-    last_month = n_months - 1 if p.death_month is None else p.death_month
-    active[p.enroll_month : last_month + 1] = True
+    active[p.enroll_month : p.last_month + 1] = True
     counts = rng.poisson(rate * active)
     total = int(counts.sum())
     month_of_claim = np.repeat(np.arange(n_months), counts)
@@ -579,29 +571,16 @@ def _generate_beneficiary(
     u_mat = rng.random((total, 10))
     picks = rng.integers(0, 1 << 30, size=(total, 7))
 
-    enroll_date = _month_date(cfg, p.enroll_month)
-    death_date: date | None = None
-    if p.death_month is not None and p.death_day is not None:
-        death_date = _month_date(cfg, p.death_month) + timedelta(days=p.death_day - 1)
-
-    claims: list[tuple[int, str]] = []  # (ordinal, line) for stable date ordering
+    claims: list[tuple[int, str]] = []  # (day, line) for stable date ordering
     bid = p.bid
 
-    def add_claim(day: date, claim_type: str, items: list[str]) -> None:
-        line = "\t".join(["C", bid, day.isoformat(), claim_type] + items)
-        claims.append((day.toordinal(), line))
+    def add_claim(day: int, claim_type: str, items: list[str]) -> None:
+        if day <= p.death:
+            claims.append((day, "\t".join(["C", bid, cal.isoformat(day), claim_type] + items)))
 
-    month_start_ordinals = np.array(
-        [_month_date(cfg, m).toordinal() for m in range(n_months)], dtype=np.int64
-    )
     for i in range(total):
         m = int(month_of_claim[i])
-        dim = int(days_in_month[m])
-        day_no = 1 + int(day_u[i] * dim)
-        if p.death_month == m and p.death_day is not None and day_no > p.death_day:
-            continue
-        claim_day = date.fromordinal(int(month_start_ordinals[m]) + day_no - 1)
-        post_onset = onset_date is not None and claim_day > onset_date
+        day = cal.day(m, day_u[i])
         s = float(sev[m])
         claim_type = _claim_type_for(float(type_u[i]), s)
         items = _claim_items(
@@ -610,45 +589,36 @@ def _generate_beneficiary(
             picks[i],
             s,
             p.is_ckd,
-            claim_day < ICD10_CUTOVER,
+            day < ICD10_CUTOVER,
             claim_type,
-            post_onset,
+            onset is not None and day > onset,
         )
-        add_claim(claim_day, claim_type, items)
+        add_claim(day, claim_type, items)
 
     truth: list[str] = []
-    n_access = 0
-    if onset_date is not None:
-        era9 = onset_date < ICD10_CUTOVER
-        stage_item = f"{'ICD9_DX' if era9 else 'ICD10_DX'}:{'5856' if era9 else 'N186'}"
+    if onset is not None:
+        stage_item = _ckd_stage_item(onset, 6)
         if event_type == "dialysis":
             onset_code = DIALYSIS_CODES[int(u_evt_details[2] * len(DIALYSIS_CODES))]
             ct = "inpatient" if u_evt_details[3] < 0.3 else "outpatient"
-            add_claim(onset_date, ct, [f"CPT:{onset_code}", stage_item, "PERFORMER_ROLE:nephrology"])
+            add_claim(onset, ct, [f"CPT:{onset_code}", stage_item, "PERFORMER_ROLE:nephrology"])
             # maintenance dialysis claims until death or dataset end
             u_round = rng.random(n_months)
             maint_day_u = rng.random(n_months)
             maint_code_u = rng.random(n_months)
-            for m in range(event_month + 1, n_months):
-                if p.death_month is not None and m > p.death_month:
-                    break
+            for m in range(event_month + 1, p.last_month + 1):
                 n_maint = 1 + (u_round[m] < 0.5)
-                dim = int(days_in_month[m])
                 for j in range(n_maint):
-                    day_no = 1 + int((maint_day_u[m] * (j + 1)) % 1.0 * dim)
-                    if p.death_month == m and p.death_day is not None and day_no > p.death_day:
-                        continue
                     code = DIALYSIS_CODES[int(maint_code_u[m] * len(DIALYSIS_CODES))]
-                    day = date.fromordinal(int(month_start_ordinals[m]) + day_no - 1)
                     add_claim(
-                        day,
+                        cal.day(m, (maint_day_u[m] * (j + 1)) % 1.0),
                         "outpatient",
                         [f"CPT:{code}", "ENCOUNTER_CLASS:ambulatory", "REVENUE_CODE:0821"],
                     )
         else:
             onset_code = TRANSPLANT_CODES[0 if u_evt_details[2] < 0.9 else 1]
             add_claim(
-                onset_date,
+                onset,
                 "inpatient",
                 [
                     f"CPT:{onset_code}",
@@ -657,7 +627,7 @@ def _generate_beneficiary(
                     "ENCOUNTER_CLASS:inpatient",
                 ],
             )
-        truth.append(f"{bid}\t{event_type}\t{onset_date.isoformat()}")
+        truth.append(f"{bid}\t{event_type}\t{cal.isoformat(onset)}")
         # acute prodrome: hospitalizations cluster in the last two months
         # before initiation, so imminent onsets are easier to spot
         u_burst = rng.random(4)
@@ -665,19 +635,14 @@ def _generate_beneficiary(
             m = event_month - back
             if m < p.enroll_month or u_burst[back - 1] >= p_adm:
                 continue
-            dim = int(days_in_month[m])
-            day_no = 1 + int(u_burst[back + 1] * dim)
-            day = date.fromordinal(int(month_start_ordinals[m]) + day_no - 1)
-            era9 = day < ICD10_CUTOVER
-            stage_code = "5855" if era9 else "N185"
-            dx_sys = "ICD9_DX" if era9 else "ICD10_DX"
-            principal_sys = "PRINCIPAL_DX_ICD9" if era9 else "PRINCIPAL_DX_ICD10"
+            day = cal.day(m, u_burst[back + 1])
+            dx_item = _ckd_stage_item(day, 5)
             add_claim(
                 day,
                 "inpatient",
                 [
-                    f"{dx_sys}:{stage_code}",
-                    f"{principal_sys}:{stage_code}",
+                    dx_item,
+                    "PRINCIPAL_DX_" + dx_item.replace("_DX", ""),  # e.g. PRINCIPAL_DX_ICD9:5855
                     "ENCOUNTER_CLASS:inpatient",
                     "ADMIT_SOURCE:1",
                     "PERFORMER_ROLE:nephrology",
@@ -690,18 +655,11 @@ def _generate_beneficiary(
         if event_type == "dialysis" and u_acc[0] < cfg.access_creation_fraction:
             crashed = p.crash_month is not None and event_month >= p.crash_month
             offset = 30 + int(u_acc[1] * (61 if crashed else 336))
-            access_date = onset_date - timedelta(days=offset)
-            if access_date < enroll_date:
-                access_date = enroll_date
-            if access_date < onset_date:
+            access = max(onset - offset, cal.starts[p.enroll_month])
+            if access < onset:
                 code = ACCESS_CODES[int(u_acc[2] * len(ACCESS_CODES))]
-                add_claim(
-                    access_date,
-                    "outpatient",
-                    [f"CPT:{code}", "PERFORMER_ROLE:general_surgery"],
-                )
-                truth.append(f"{bid}\taccess_creation\t{access_date.isoformat()}")
-                n_access += 1
+                add_claim(access, "outpatient", [f"CPT:{code}", "PERFORMER_ROLE:general_surgery"])
+                truth.append(f"{bid}\taccess_creation\t{cal.isoformat(access)}")
     else:
         rng.random(3)  # stream alignment with the event branch
         # access work-up without initiation in the severe, event-free population
@@ -712,39 +670,25 @@ def _generate_beneficiary(
             )
             if hits.size:
                 m = int(hits[0])
-                dim = int(days_in_month[m])
-                day_no = 1 + int(u_decoy[(m + 1) % n_months] * dim)
-                if not (p.death_month == m and p.death_day is not None and day_no > p.death_day):
-                    day = date.fromordinal(int(month_start_ordinals[m]) + day_no - 1)
+                day = cal.day(m, u_decoy[(m + 1) % n_months])
+                if day <= p.death:  # the ground-truth row must match the claim
                     code = ACCESS_CODES[int(u_decoy[(m + 2) % n_months] * len(ACCESS_CODES))]
-                    add_claim(
-                        day,
-                        "outpatient",
-                        [f"CPT:{code}", "PERFORMER_ROLE:general_surgery"],
-                    )
-                    truth.append(f"{bid}\taccess_creation\t{day.isoformat()}")
-                    n_access += 1
+                    add_claim(day, "outpatient", [f"CPT:{code}", "PERFORMER_ROLE:general_surgery"])
+                    truth.append(f"{bid}\taccess_creation\t{cal.isoformat(day)}")
 
     # force a diagnosis claim when the disease is first codable, so criterion
     # "CKD code on a prior claim" has a concrete anchor date
     if p.is_ckd:
         dxm = max(p.dx_month, p.enroll_month)
-        if dxm < n_months and (p.death_month is None or dxm <= p.death_month):
+        if dxm <= p.last_month:
             u_dx = rng.random(2)
-            dim = int(days_in_month[dxm])
-            day_no = 1 + int(u_dx[0] * dim)
-            if p.death_month == dxm and p.death_day is not None:
-                day_no = min(day_no, p.death_day)
-            day = date.fromordinal(int(month_start_ordinals[dxm]) + day_no - 1)
-            if onset_date is None or day <= onset_date:
-                era9 = day < ICD10_CUTOVER
-                stage = _stage(float(sev[dxm]))
-                code = f"585{stage}" if era9 else f"N18{stage}"
+            day = min(cal.day(dxm, u_dx[0]), p.death)
+            if onset is None or day <= onset:
                 add_claim(
                     day,
                     "outpatient",
                     [
-                        f"{'ICD9_DX' if era9 else 'ICD10_DX'}:{code}",
+                        _ckd_stage_item(day, _stage(float(sev[dxm]))),
                         "CCS_DX:158",
                         "PERFORMER_ROLE:nephrology" if u_dx[1] < 0.5 else "PERFORMER_ROLE:internal_medicine",
                     ],
@@ -758,38 +702,27 @@ def _generate_beneficiary(
             p.sex,
             p.race,
             str(p.birth_year),
-            enroll_date.isoformat(),
-            death_date.isoformat() if death_date else "",
+            cal.isoformat(cal.starts[p.enroll_month]),
+            "" if p.death == _NEVER else cal.isoformat(p.death),
         ]
     )
-    counters = {
-        "claims": len(claims),
-        "dialysis": 1 if (onset_date is not None and event_type == "dialysis") else 0,
-        "transplant": 1 if (onset_date is not None and event_type == "transplant") else 0,
-        "access": n_access,
-    }
-    return [bene_line] + [line for _, line in claims], truth, counters
+    return [bene_line] + [line for _, line in claims], truth
 
 
-def _generate_chunk(args) -> tuple[str, str, dict]:
+def _generate_chunk(args) -> tuple[str, str, int]:
+    """The claims text, the ground-truth text and the claim count of beneficiaries lo..hi-1."""
     cfg, hazard_multiplier, lo, hi = args
-    n_months = _month_count(cfg)
-    days_in_month = _days_in_months(cfg)
+    cal = _Calendar(cfg.date_range)
     pools = _Pools(cfg.vocab_sizes)
     claim_parts: list[str] = []
     truth_parts: list[str] = []
-    totals = {"claims": 0, "dialysis": 0, "transplant": 0, "access": 0}
     for k in range(lo, hi):
-        lines, truth, counters = _generate_beneficiary(
-            cfg, pools, hazard_multiplier, k, n_months, days_in_month
-        )
+        lines, truth = _generate_beneficiary(cfg, pools, hazard_multiplier, k, cal)
         claim_parts.extend(lines)
         truth_parts.extend(truth)
-        for key, val in counters.items():
-            totals[key] += val
     claims_text = "\n".join(claim_parts) + ("\n" if claim_parts else "")
     truth_text = "\n".join(truth_parts) + ("\n" if truth_parts else "")
-    return claims_text, truth_text, totals
+    return claims_text, truth_text, len(claim_parts) - (hi - lo)  # one B line each
 
 
 def generate(
@@ -811,16 +744,17 @@ def generate(
         (cfg, multiplier, lo, min(lo + chunk, cfg.n_beneficiaries))
         for lo in range(0, cfg.n_beneficiaries, chunk)
     ]
-    totals = {"claims": 0, "dialysis": 0, "transplant": 0, "access": 0}
+    totals: Counter[str] = Counter()  # claims, and ground-truth rows by event type
 
     def consume(result):
-        claims_text, truth_text, counters = result
+        claims_text, truth_text, n_claims = result
         claims_sink.write(claims_text)
         truth_sink.write(truth_text)
-        for key, val in counters.items():
-            totals[key] += val
+        totals["claims"] += n_claims
+        totals.update(row.split("\t")[1] for row in truth_text.splitlines())
 
     if workers > 1 and len(spans) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # not loaded at CLI start-up
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for result in pool.map(_generate_chunk, spans):
                 consume(result)
@@ -832,7 +766,7 @@ def generate(
         n_claims=totals["claims"],
         n_dialysis=totals["dialysis"],
         n_transplant=totals["transplant"],
-        n_access=totals["access"],
+        n_access=totals["access_creation"],
         hazard_multiplier=multiplier,
         predicted_prevalence=predicted,
     )

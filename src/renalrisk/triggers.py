@@ -290,7 +290,12 @@ def _tail_codes(tail: str, line_no: int) -> list[int]:
     if eligible_raw == "0":
         if not mask:
             raise ParseError(line_no, "ineligible trigger row with no ineligibility reason")
-        return [mask] + [N_CLASSES - 1] * len(TASKS)  # an ineligible row's labels are not read
+        for task, bits in zip(TASKS, labels):
+            if bits != "-":
+                raise ParseError(
+                    line_no, f"bad {task} label {bits!r} (expected - for an ineligible trigger)"
+                )
+        return [mask] + [N_CLASSES - 1] * len(TASKS)
     for task, bits in zip(TASKS, labels):
         if bits not in _LABEL_BITS:
             raise ParseError(line_no, f"bad {task} label {bits!r} (expected a one-hot bit string)")

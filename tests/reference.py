@@ -191,6 +191,7 @@ def _parse_trigger(
     if reasons_raw not in reason_sets:
         reason_sets[reasons_raw] = _parse_reasons(reasons_raw, line_no)
     eligible = eligible_raw == "1"
+    reasons = reason_sets[reasons_raw]
     labels = None
     if eligible:
         labels = {}
@@ -201,7 +202,17 @@ def _parse_trigger(
                     line_no, f"bad {task} label {bits!r} (expected a one-hot bit string)"
                 )
             labels[task] = label
-    return Trigger(bid, dates[date_raw], eligible, reason_sets[reasons_raw], labels)
+        if reasons:
+            raise ParseError(line_no, f"eligible trigger row with reasons {reasons_raw!r}")
+    else:
+        if not reasons:
+            raise ParseError(line_no, "ineligible trigger row with no ineligibility reason")
+        for task, bits in zip(TASKS, fields[4:]):
+            if bits != "-":
+                raise ParseError(
+                    line_no, f"bad {task} label {bits!r} (expected - for an ineligible trigger)"
+                )
+    return Trigger(bid, dates[date_raw], eligible, reasons, labels)
 
 
 def reference_trigger_rows(lines: Iterable[str]) -> list[Trigger]:

@@ -1,8 +1,13 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import renalrisk
 from renalrisk.cli import main
 from renalrisk.errors import ConfigError
 from renalrisk.pipeline import (
@@ -57,6 +62,18 @@ def test_unknown_config_section_rejected(tmp_path):
     path.write_text(json.dumps(raw))
     with pytest.raises(ConfigError, match="unknown config sections"):
         load_pipeline_config(path)
+
+
+def test_cli_import_loads_no_process_pool_or_calendar():
+    """Every stage process imports the CLI, so its import does no work a stage may not need."""
+    code = "import sys, renalrisk.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    unwanted = ["concurrent.futures", "multiprocessing", "calendar"]
+    src = str(Path(renalrisk.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code, *unwanted], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_usage_error_exit_code_1(capsys):
@@ -192,6 +209,28 @@ def test_featurize_names_a_truncated_trigger_table(completed_run, tmp_path, caps
     label = cut.rsplit("\t", 1)[1]
     assert err.startswith(f"error: {triggers}: line {last + 1}: bad transplant label {label!r}")
     assert "Traceback" not in err
+    assert not list(workdir.glob("*.tmp"))
+
+
+def test_featurize_refuses_a_beneficiary_whose_trigger_rows_are_split(
+    completed_run, tmp_path, capsys
+):
+    workdir, cfg_path = _copy_of_run(completed_run, tmp_path)
+    (workdir / "split.tsv").unlink()
+    triggers = workdir / "triggers.tsv"
+    lines = triggers.read_text().splitlines(keepends=True)
+    ids = [line.split("\t")[0] for line in lines]
+    first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    second = next(i for i in range(first, len(ids)) if ids[i] != ids[first])
+    third = next(i for i in range(second, len(ids)) if ids[i] != ids[second])
+    half = (first + second) // 2  # the first beneficiary's rows from here on move down
+    lines[half:third] = lines[second:third] + lines[half:second]
+    triggers.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["featurize", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {triggers}: the rows of beneficiary {ids[first]!r}")
+    assert not (workdir / "split.tsv").exists()
     assert not list(workdir.glob("*.tmp"))
 
 

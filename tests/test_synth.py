@@ -1,3 +1,4 @@
+import hashlib
 import io
 from datetime import date
 
@@ -61,10 +62,42 @@ def test_same_config_and_seed_bit_identical():
 
 
 def test_output_independent_of_worker_count():
-    cfg = SynthConfig(n_beneficiaries=120, seed=99)
+    # generate hands out 2,000 beneficiaries per chunk and uses a pool only for
+    # more than one chunk
+    cfg = SynthConfig(n_beneficiaries=2001, seed=99)
     serial = run_generate(cfg, workers=1)
     pooled = run_generate(cfg, workers=2)
     assert serial[0] == pooled[0] and serial[1] == pooled[1]
+
+
+# Many deaths, late enrollments and crash courses, which the default cohort
+# shape rarely reaches; the digests were recorded before synth moved its dates
+# to day ordinals.
+STRESSED = SynthConfig(
+    n_beneficiaries=2100,
+    seed=3,
+    late_enrollment_fraction=0.5,
+    monthly_death_hazard=0.02,
+    crash_fraction=0.5,
+    progressor_fraction=0.5,
+    ckd_fraction=0.9,
+    target_365d_prevalence=0.1,
+)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stressed_cohort_digest(workers):
+    claims_text, truth_text, summary = run_generate(STRESSED, workers=workers)
+    counts = (summary.n_claims, summary.n_dialysis, summary.n_transplant, summary.n_access)
+    assert counts == (76545, 268, 26, 275)
+    bene_rows = [line.split("\t") for line in claims_text.splitlines() if line.startswith("B\t")]
+    assert sum(1 for row in bene_rows if row[6]) == 1528  # death dates
+    assert hashlib.sha256(claims_text.encode()).hexdigest() == (
+        "e8b15bda1c2cc2773bfc47b9c29591e876cd97a2ed027296cb125f35635b4d9f"
+    )
+    assert hashlib.sha256(truth_text.encode()).hexdigest() == (
+        "5bd530ea55ef493de53819dcd24dc40added78b650ef8372d9443c665da7774f"
+    )
 
 
 def test_different_seed_changes_output():

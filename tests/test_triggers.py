@@ -372,6 +372,8 @@ _GOOD_ROW = "b1\t2013-06-01\t1\t\t000001\t010000\t000001"
         ("b1\t2013-06-01\t1\t\t000001\t010000", "bad trigger row"),
         ("b1\t2013-06-01\t1\tunder_65\t000001\t010000\t000001", "eligible .* with reasons"),
         ("b1\t2013-06-01\t0\t\t-\t-\t-", "ineligible .* no ineligibility reason"),
+        ("b1\t2013-06-01\t0\tunder_65\tjunk\t\t010000", "bad rrt label 'junk' .*ineligible"),
+        ("b1\t2013-06-01\t0\tunder_65\t-\t-\t000001", "bad transplant label '000001'"),
     ],
 )
 def test_malformed_trigger_row_is_a_data_error(row, message):
