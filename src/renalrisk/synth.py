@@ -18,7 +18,10 @@ trigger months matches ``target_365d_prevalence``.
 
 Every generated date is a day ordinal (``date.toordinal``) read off one
 ``_Calendar`` of the date range, and no claim dated after a beneficiary's
-death day is written.
+death day is written. Background claims are assembled for a batch of
+beneficiaries at once: each beneficiary makes its draws in bulk, and one
+vectorized pass over the batch turns them into days, claim types and token
+ids, from which each claim line is joined.
 
 Beneficiary ``k`` draws everything from a PCG64 stream seeded with
 ``(seed, k)``, so output is byte-identical for a given config no matter how
@@ -30,11 +33,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
-from typing import IO, Mapping
+from numbers import Integral
+from typing import IO, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, check_number_fields
+from .errors import ConfigError, check_number_fields, is_number
 from .claims import DEFAULT_CODESETS
 
 SEV_MAX = 18.0  # ceiling of the latent scale; coding saturates near 14
@@ -112,6 +116,8 @@ class SynthConfig:
         start, end = self.date_range
         if start >= end:
             raise ConfigError("date_range start must precede end")
+        if (end.year, end.month) == (start.year, start.month):
+            raise ConfigError("date_range must span at least two calendar months")
         for name in (
             "ckd_fraction",
             "target_365d_prevalence",
@@ -131,6 +137,21 @@ class SynthConfig:
             raise ConfigError("claims_rate must be non-negative")
         if self.hazard_severity_weight < 0:
             raise ConfigError("hazard_severity_weight must be non-negative")
+        if not isinstance(self.vocab_sizes, Mapping):
+            raise ConfigError(
+                f"vocab_sizes must map code systems to pool sizes, got {self.vocab_sizes!r}"
+            )
+        for name, size in self.vocab_sizes.items():
+            if name not in DEFAULT_VOCAB_SIZES:
+                raise ConfigError(
+                    f"vocab_sizes: unknown code system {name!r} "
+                    f"(expected one of {sorted(DEFAULT_VOCAB_SIZES)})"
+                )
+            least = 2 if name == "PERFORMER_ROLE" else 1  # one role is the nephrology signal
+            if not is_number(size, Integral) or size < least:
+                raise ConfigError(
+                    f"vocab_sizes[{name!r}] must be an integer >= {least}, got {size!r}"
+                )
 
 
 @dataclass
@@ -170,51 +191,6 @@ class _Calendar:
 
     def isoformat(self, day: int) -> str:
         return self.iso[day - self.starts[0]]
-
-
-# ---------------------------------------------------------------------------
-# Code pools
-
-
-class _Pools:
-    """Deterministic noise-code pools per system, disjoint from signal codes."""
-
-    def __init__(self, sizes: Mapping[str, int]):
-        def size(name: str) -> int:
-            return max(1, int(sizes.get(name, DEFAULT_VOCAB_SIZES[name])))
-
-        self.icd9_dx = [f"{4000 + i}" for i in range(size("ICD9_DX"))]
-        self.icd10_dx = [f"E{i:03d}" for i in range(size("ICD10_DX"))]
-        self.ccs_dx = [f"{200 + i}" for i in range(size("CCS_DX"))]
-        self.hcc = [f"{300 + i}" for i in range(size("HCC"))]
-        self.icd9_px = [f"{7000 + i}" for i in range(size("ICD9_PX"))]
-        self.icd10_px = [f"0PX{i:03d}" for i in range(size("ICD10_PX"))]
-        self.ccs_px = [f"{150 + i}" for i in range(size("CCS_PX"))]
-        self.cpt = [f"{20000 + i}" for i in range(size("CPT"))]
-        self.hcpcs = [f"G{i:04d}" for i in range(size("HCPCS"))]
-        self.hcpcs_alpha = [f"A{i:03d}" for i in range(size("HCPCS_ALPHA"))]
-        n_roles = size("PERFORMER_ROLE")
-        roles = list(_BASE_ROLES[: max(0, n_roles - 1)])
-        while len(roles) < n_roles - 1:
-            roles.append(f"specialty_{len(roles)}")
-        self.roles = roles  # nephrology handled as the signal role
-        self.admit_source = [f"{i + 1}" for i in range(size("ADMIT_SOURCE"))]
-        self.discharge = [f"{i + 1:02d}" for i in range(size("DISCHARGE_DISPOSITION"))]
-        self.revenue = [f"{250 + 10 * i:04d}" for i in range(size("REVENUE_CODE"))]
-        self.med_hcpcs = [f"J{1000 + i}" for i in range(size("MED_HCPCS"))]
-        self.rxnorm = [f"{100000 + i}" for i in range(size("RXNORM"))]
-        self.encounter_ccs = [f"{200 + i}" for i in range(size("ENCOUNTER_CCS"))]
-        self.encounter_hcc = [f"{300 + i}" for i in range(size("ENCOUNTER_HCC"))]
-
-
-def _pick(pool: list[str], u: float) -> str:
-    # u**2 skews mass toward the head of the pool, giving a heavy-tailed
-    # code frequency profile without an alias table
-    return pool[int(u * u * len(pool))]
-
-
-def _stage(sev: float) -> int:
-    return min(5, 1 + int(sev // 2))
 
 
 # ---------------------------------------------------------------------------
@@ -425,104 +401,233 @@ def calibrate_hazard_multiplier(cfg: SynthConfig) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Claim assembly
 
-
-def _claim_items(
-    pools: _Pools,
-    u: np.ndarray,
-    picks: np.ndarray,
-    sev: float,
-    is_ckd: bool,
-    era9: bool,
-    claim_type: str,
-    post_onset: bool,
-) -> list[str]:
-    """Item tokens (``SYSTEM:code``) for one claim."""
-    items: list[str] = []
-    dx_pool = pools.icd9_dx if era9 else pools.icd10_dx
-    dx_sys = "ICD9_DX" if era9 else "ICD10_DX"
-    first_dx = _pick(dx_pool, u[0])
-    items.append(f"{dx_sys}:{first_dx}")
-    if u[1] < 0.40:
-        items.append(f"{dx_sys}:{_pick(dx_pool, (u[1] / 0.40))}")
-    # crosswalk-style derived grouping for the first diagnosis
-    if u[2] < 0.70:
-        items.append(f"CCS_DX:{pools.ccs_dx[picks[0] % len(pools.ccs_dx)]}")
-    if u[2] > 0.80:
-        items.append(f"HCC:{pools.hcc[picks[1] % len(pools.hcc)]}")
-    if is_ckd and sev > 0:
-        stage = _stage(sev)
-        if post_onset:
-            stage = 6 if u[3] < 0.7 else 5  # ESRD coding after initiation
-        if u[4] < min(0.9, 0.32 + 0.055 * sev) or post_onset:
-            code = f"585{stage}" if era9 else f"N18{stage}"
-            items.append(f"{dx_sys}:{code}")
-            if u[5] < 0.5:
-                items.append("CCS_DX:158")
-            if u[5] > 1.0 - min(0.5, 0.02 + 0.034 * sev):
-                items.append("HCC:136")
-    # procedures
-    if u[6] < 0.5:
-        items.append(f"CPT:{_pick(pools.cpt, u[6] / 0.5)}")
-    elif u[6] < 0.62:
-        px_pool = pools.icd9_px if era9 else pools.icd10_px
-        px_sys = "ICD9_PX" if era9 else "ICD10_PX"
-        items.append(f"{px_sys}:{_pick(px_pool, (u[6] - 0.5) / 0.12)}")
-        items.append(f"CCS_PX:{pools.ccs_px[picks[2] % len(pools.ccs_px)]}")
-    elif u[6] < 0.75:
-        items.append(f"HCPCS:{_pick(pools.hcpcs, (u[6] - 0.62) / 0.13)}")
-    elif u[6] < 0.82:
-        items.append(f"HCPCS_ALPHA:{_pick(pools.hcpcs_alpha, (u[6] - 0.75) / 0.07)}")
-    # performer role: nephrology involvement scales with severity
-    if u[7] < 0.8:
-        p_neph = min(0.9, 0.04 + 0.06 * sev) if is_ckd else 0.03
-        if post_onset:
-            p_neph = 0.95
-        if u[8] < p_neph:
-            items.append("PERFORMER_ROLE:nephrology")
-        else:
-            items.append(f"PERFORMER_ROLE:{pools.roles[picks[3] % len(pools.roles)]}")
-    # encounter stream
-    if claim_type == "inpatient":
-        items.append("ENCOUNTER_CLASS:inpatient")
-        items.append(f"ADMIT_SOURCE:{pools.admit_source[picks[4] % len(pools.admit_source)]}")
-        items.append(f"DISCHARGE_DISPOSITION:{pools.discharge[picks[5] % len(pools.discharge)]}")
-        principal_sys = "PRINCIPAL_DX_ICD9" if era9 else "PRINCIPAL_DX_ICD10"
-        items.append(f"{principal_sys}:{first_dx}")
-        items.append(f"REVENUE_CODE:{pools.revenue[picks[6] % len(pools.revenue)]}")
-    else:
-        _classes = {
-            "outpatient": "ambulatory" if u[9] > 0.15 else "emergency",
-            "carrier": "office",
-            "home_health": "home_health",
-            "skilled_nursing": "snf",
-        }
-        items.append(f"ENCOUNTER_CLASS:{_classes[claim_type]}")
-        if u[9] < 0.2:
-            items.append(
-                f"ENCOUNTER_CCS:{pools.encounter_ccs[picks[4] % len(pools.encounter_ccs)]}"
-            )
-        if u[9] > 0.9:
-            items.append(
-                f"ENCOUNTER_HCC:{pools.encounter_hcc[picks[5] % len(pools.encounter_hcc)]}"
-            )
-    # medications
-    esa_p = min(0.5, 0.045 * max(0.0, sev - 3.0)) if is_ckd else 0.0
-    if u[3] < esa_p:
-        items.append("MED_HCPCS:J0885")
-    elif u[3] > 0.82:
-        items.append(f"MED_HCPCS:{_pick(pools.med_hcpcs, (u[3] - 0.82) / 0.18)}")
-    if u[5] < 0.25:
-        items.append(f"RXNORM:{_pick(pools.rxnorm, u[5] / 0.25)}")
-    return items
-
-
 _CLAIM_TYPE_NAMES = ("outpatient", "carrier", "inpatient", "home_health", "skilled_nursing")
 
+# Beneficiaries whose background claims one vectorized pass builds: enough
+# claims (about 1,300) to amortize numpy's per-call cost, few enough that the
+# pass adds little to synth's peak memory.
+_BATCH = 32
 
-def _claim_type_for(u: float, sev: float) -> str:
-    p_inpatient = 0.04 + 0.016 * min(sev, 14.0)
-    edges = (0.55, 0.84, 0.84 + p_inpatient, 0.92 + p_inpatient)
-    return _CLAIM_TYPE_NAMES[int(np.searchsorted(edges, u, side="right"))]
+
+class _Tokens:
+    """The noise codes of each code system, as the item tokens claim lines are joined from.
+
+    Each token of ``table`` is ``\\tSYSTEM:code``. Segment ``name`` (a code
+    system, or ``SYSTEM.part`` for a fixed part of one) holds ``size[name]``
+    tokens from ``start[name]`` on. The pools are disjoint from the signal
+    codes. The last token is empty, so an empty slot (-1) adds nothing to a
+    line.
+    """
+
+    def __init__(self, sizes: Mapping[str, int]):
+        def size(name: str) -> int:
+            return sizes.get(name, DEFAULT_VOCAB_SIZES[name])
+
+        def numbered(name: str, fmt: str, first: int = 0, step: int = 1) -> list[str]:
+            return [fmt.format(first + step * i) for i in range(size(name))]
+
+        n_roles = size("PERFORMER_ROLE") - 1  # nephrology is the signal role
+        roles = [*_BASE_ROLES, *(f"specialty_{i}" for i in range(len(_BASE_ROLES), n_roles))]
+        icd9_dx = numbered("ICD9_DX", "{}", 4000)
+        icd10_dx = numbered("ICD10_DX", "E{:03d}")
+        segments = {
+            "ICD9_DX": icd9_dx,
+            "ICD10_DX": icd10_dx,
+            "ICD9_DX.stage": [f"585{stage}" for stage in range(1, 7)],
+            "ICD10_DX.stage": [f"N18{stage}" for stage in range(1, 7)],
+            "PRINCIPAL_DX_ICD9": icd9_dx,
+            "PRINCIPAL_DX_ICD10": icd10_dx,
+            "CCS_DX": numbered("CCS_DX", "{}", 200),
+            "CCS_DX.ckd": ["158"],
+            "HCC": numbered("HCC", "{}", 300),
+            "HCC.ckd": ["136"],
+            "CPT": numbered("CPT", "{}", 20000),
+            "ICD9_PX": numbered("ICD9_PX", "{}", 7000),
+            "ICD10_PX": numbered("ICD10_PX", "0PX{:03d}"),
+            "CCS_PX": numbered("CCS_PX", "{}", 150),
+            "HCPCS": numbered("HCPCS", "G{:04d}"),
+            "HCPCS_ALPHA": numbered("HCPCS_ALPHA", "A{:03d}"),
+            "PERFORMER_ROLE": roles[:n_roles],
+            "PERFORMER_ROLE.nephrology": ["nephrology"],
+            # indexed by claim type, then emergency (an outpatient class)
+            "ENCOUNTER_CLASS": [
+                "ambulatory", "office", "inpatient", "home_health", "snf", "emergency"
+            ],
+            "ADMIT_SOURCE": numbered("ADMIT_SOURCE", "{}", 1),
+            "DISCHARGE_DISPOSITION": numbered("DISCHARGE_DISPOSITION", "{:02d}", 1),
+            "REVENUE_CODE": numbered("REVENUE_CODE", "{:04d}", 250, 10),
+            "ENCOUNTER_CCS": numbered("ENCOUNTER_CCS", "{}", 200),
+            "ENCOUNTER_HCC": numbered("ENCOUNTER_HCC", "{}", 300),
+            "MED_HCPCS": numbered("MED_HCPCS", "J{}", 1000),
+            "MED_HCPCS.esa": ["J0885"],
+            "RXNORM": numbered("RXNORM", "{}", 100000),
+        }
+        self.table: list[str] = []
+        self.start: dict[str, int] = {}
+        self.size: dict[str, int] = {}
+        for name, codes in segments.items():
+            system = name.partition(".")[0]
+            self.start[name], self.size[name] = len(self.table), len(codes)
+            self.table.extend(f"\t{system}:{code}" for code in codes)
+        self.table.append("")
+
+
+class _Background(NamedTuple):
+    """One beneficiary's background-claim draws and what their items depend on."""
+
+    bid: str
+    months: np.ndarray  # the month of each claim
+    day_u: np.ndarray  # (claims,) picks the day in the month
+    type_u: np.ndarray  # (claims,) picks the claim type
+    u: np.ndarray  # (claims, 10) uniforms of the item slots
+    picks: np.ndarray  # (claims, 7) integers that pick codes by modulus
+    sev: np.ndarray  # severity by month
+    is_ckd: bool
+    onset: int  # day ordinal of RRT onset, or _NEVER
+    death: int  # day ordinal, or _NEVER
+
+
+def _claim_columns(
+    batch: list[_Background], cal: _Calendar, tokens: _Tokens
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The background claims of a batch of beneficiaries, one row per claim in draw order.
+
+    Returns each claim's day ordinal, its claim type (an index into
+    ``_CLAIM_TYPE_NAMES``), its token ids (one column per item slot, -1 for an
+    empty slot) and whether it is kept (not dated after death). Each slot is
+    one branch of the per-claim coding rules, computed with the same float
+    operations for every claim at once.
+    """
+    owner = np.repeat(np.arange(len(batch)), [b.months.size for b in batch])
+    month = np.concatenate([b.months for b in batch])
+    day_u = np.concatenate([b.day_u for b in batch])
+    type_u = np.concatenate([b.type_u for b in batch])
+    u = np.concatenate([b.u for b in batch]).T
+    picks = np.concatenate([b.picks for b in batch]).T
+    sev = np.stack([b.sev for b in batch])[owner, month]
+    is_ckd = np.array([b.is_ckd for b in batch])[owner]
+    onset = np.array([b.onset for b in batch])[owner]
+    death = np.array([b.death for b in batch])[owner]
+
+    days = np.array(cal.starts)[month] + (day_u * np.array(cal.days)[month]).astype(np.int64)
+    p_inpatient = 0.04 + 0.016 * np.minimum(sev, 14.0)
+    claim_type = (
+        (type_u >= 0.55).astype(np.int64)
+        + (type_u >= 0.84)
+        + (type_u >= 0.84 + p_inpatient)
+        + (type_u >= 0.92 + p_inpatient)
+    )
+    era9 = days < ICD10_CUTOVER
+    post_onset = days > onset
+    inpatient = claim_type == 2
+    start, size = tokens.start, tokens.size
+
+    def pick(name: str, x: np.ndarray) -> np.ndarray:
+        # x**2 skews mass toward the head of the pool, giving a heavy-tailed
+        # code frequency profile without an alias table
+        return start[name] + (x * x * size[name]).astype(np.int64)
+
+    def by_era(icd9: np.ndarray, icd10: np.ndarray) -> np.ndarray:
+        return np.where(era9, icd9, icd10)
+
+    def modulo(name: str, column: int) -> np.ndarray:
+        return start[name] + picks[column] % size[name]
+
+    first_dx = by_era(pick("ICD9_DX", u[0]), pick("ICD10_DX", u[0]))
+    u_dx2 = u[1] / 0.40
+    coded = is_ckd & (sev > 0) & ((u[4] < np.minimum(0.9, 0.32 + 0.055 * sev)) | post_onset)
+    stage = np.where(
+        post_onset,
+        np.where(u[3] < 0.7, 6, 5),  # ESRD coding after initiation
+        np.minimum(5, 1 + np.floor_divide(sev, 2).astype(np.int64)),
+    )
+    encounter = claim_type + 5 * ((claim_type == 0) & (u[9] <= 0.15))  # outpatient: emergency
+    p_neph = np.where(post_onset, 0.95, np.where(is_ckd, np.minimum(0.9, 0.04 + 0.06 * sev), 0.03))
+    esa_p = np.where(is_ckd, np.minimum(0.5, 0.045 * np.maximum(0.0, sev - 3.0)), 0.0)
+    slots = [
+        # diagnoses, and a crosswalk-style grouping of the first
+        first_dx,
+        np.where(u[1] < 0.40, by_era(pick("ICD9_DX", u_dx2), pick("ICD10_DX", u_dx2)), -1),
+        np.select([u[2] < 0.70, u[2] > 0.80], [modulo("CCS_DX", 0), modulo("HCC", 1)], -1),
+        # CKD stage coding
+        np.where(coded, by_era(start["ICD9_DX.stage"], start["ICD10_DX.stage"]) + stage - 1, -1),
+        np.where(coded & (u[5] < 0.5), start["CCS_DX.ckd"], -1),
+        np.where(coded & (u[5] > 1.0 - np.minimum(0.5, 0.02 + 0.034 * sev)), start["HCC.ckd"], -1),
+        # a procedure
+        np.select(
+            [u[6] < 0.5, u[6] < 0.62, u[6] < 0.75, u[6] < 0.82],
+            [
+                pick("CPT", u[6] / 0.5),
+                by_era(pick("ICD9_PX", (u[6] - 0.5) / 0.12), pick("ICD10_PX", (u[6] - 0.5) / 0.12)),
+                pick("HCPCS", (u[6] - 0.62) / 0.13),
+                pick("HCPCS_ALPHA", (u[6] - 0.75) / 0.07),
+            ],
+            -1,
+        ),
+        np.where((u[6] >= 0.5) & (u[6] < 0.62), modulo("CCS_PX", 2), -1),
+        # performer role: nephrology involvement scales with severity
+        np.where(
+            u[7] < 0.8,
+            np.where(
+                u[8] < p_neph, start["PERFORMER_ROLE.nephrology"], modulo("PERFORMER_ROLE", 3)
+            ),
+            -1,
+        ),
+        # encounter stream
+        start["ENCOUNTER_CLASS"] + encounter,
+        np.where(
+            inpatient,
+            modulo("ADMIT_SOURCE", 4),
+            np.where(u[9] < 0.2, modulo("ENCOUNTER_CCS", 4), -1),
+        ),
+        np.where(
+            inpatient,
+            modulo("DISCHARGE_DISPOSITION", 5),
+            np.where(u[9] > 0.9, modulo("ENCOUNTER_HCC", 5), -1),
+        ),
+        np.where(  # the principal diagnosis repeats the first
+            inpatient,
+            first_dx + by_era(
+                start["PRINCIPAL_DX_ICD9"] - start["ICD9_DX"],
+                start["PRINCIPAL_DX_ICD10"] - start["ICD10_DX"],
+            ),
+            -1,
+        ),
+        np.where(inpatient, modulo("REVENUE_CODE", 6), -1),
+        # medications
+        np.select(
+            [u[3] < esa_p, u[3] > 0.82],
+            [start["MED_HCPCS.esa"], pick("MED_HCPCS", (u[3] - 0.82) / 0.18)],
+            -1,
+        ),
+        np.where(u[5] < 0.25, pick("RXNORM", u[5] / 0.25), -1),
+    ]
+    return days, claim_type, np.stack(slots, axis=1), days <= death
+
+
+def _background_claims(
+    batch: list[_Background], cal: _Calendar, tokens: _Tokens
+) -> list[list[tuple[int, str]]]:
+    """Each beneficiary's kept background claims as (day, claim line), in draw order."""
+    days, claim_type, slots, keep = _claim_columns(batch, cal, tokens)
+    day_list, type_list, rows = days.tolist(), claim_type.tolist(), slots.tolist()
+    iso, first_day, token = cal.iso, cal.starts[0], tokens.table.__getitem__
+    out = []
+    lo = 0
+    for b in batch:
+        hi = lo + b.months.size
+        claims = []
+        for i in (lo + np.flatnonzero(keep[lo:hi])).tolist():
+            day = day_list[i]
+            head = f"C\t{b.bid}\t{iso[day - first_day]}\t{_CLAIM_TYPE_NAMES[type_list[i]]}"
+            claims.append((day, head + "".join(map(token, rows[i]))))
+        out.append(claims)
+        lo = hi
+    return out
+
+
+def _stage(sev: float) -> int:
+    return min(5, 1 + int(sev // 2))
 
 
 def _ckd_stage_item(day: int, stage: int) -> str:
@@ -531,13 +636,13 @@ def _ckd_stage_item(day: int, stage: int) -> str:
 
 
 def _generate_beneficiary(
-    cfg: SynthConfig,
-    pools: _Pools,
-    hazard_multiplier: float,
-    k: int,
-    cal: _Calendar,
-) -> tuple[list[str], list[str]]:
-    """Claim lines and ground-truth lines for one beneficiary."""
+    cfg: SynthConfig, hazard_multiplier: float, k: int, cal: _Calendar
+) -> tuple[str, _Background, list[tuple[int, str]], list[str]]:
+    """One beneficiary's B line, background-claim draws, other claims and ground-truth lines.
+
+    The other claims are (day, line) pairs: the onset, maintenance, prodrome
+    and access claims and the forced diagnosis, none dated after death.
+    """
     n_months = cal.n_months
     p, rng = _draw_profile(cfg, k, cal)
     sev = _severity_vector(p, n_months)
@@ -571,29 +676,24 @@ def _generate_beneficiary(
     u_mat = rng.random((total, 10))
     picks = rng.integers(0, 1 << 30, size=(total, 7))
 
-    claims: list[tuple[int, str]] = []  # (day, line) for stable date ordering
     bid = p.bid
+    background = _Background(
+        bid,
+        month_of_claim,
+        day_u,
+        type_u,
+        u_mat,
+        picks,
+        sev,
+        p.is_ckd,
+        _NEVER if onset is None else onset,
+        p.death,
+    )
+    claims: list[tuple[int, str]] = []  # (day, line) of the claims after the background
 
     def add_claim(day: int, claim_type: str, items: list[str]) -> None:
         if day <= p.death:
             claims.append((day, "\t".join(["C", bid, cal.isoformat(day), claim_type] + items)))
-
-    for i in range(total):
-        m = int(month_of_claim[i])
-        day = cal.day(m, day_u[i])
-        s = float(sev[m])
-        claim_type = _claim_type_for(float(type_u[i]), s)
-        items = _claim_items(
-            pools,
-            u_mat[i],
-            picks[i],
-            s,
-            p.is_ckd,
-            day < ICD10_CUTOVER,
-            claim_type,
-            onset is not None and day > onset,
-        )
-        add_claim(day, claim_type, items)
 
     truth: list[str] = []
     if onset is not None:
@@ -694,7 +794,6 @@ def _generate_beneficiary(
                     ],
                 )
 
-    claims.sort(key=lambda pair: pair[0])
     bene_line = "\t".join(
         [
             "B",
@@ -706,20 +805,32 @@ def _generate_beneficiary(
             "" if p.death == _NEVER else cal.isoformat(p.death),
         ]
     )
-    return [bene_line] + [line for _, line in claims], truth
+    return bene_line, background, claims, truth
 
 
 def _generate_chunk(args) -> tuple[str, str, int]:
-    """The claims text, the ground-truth text and the claim count of beneficiaries lo..hi-1."""
+    """The claims text, the ground-truth text and the claim count of beneficiaries lo..hi-1.
+
+    A beneficiary's background claims come first, its other claims after
+    them, and a stable sort by day orders the two.
+    """
     cfg, hazard_multiplier, lo, hi = args
     cal = _Calendar(cfg.date_range)
-    pools = _Pools(cfg.vocab_sizes)
+    tokens = _Tokens(cfg.vocab_sizes)
     claim_parts: list[str] = []
     truth_parts: list[str] = []
-    for k in range(lo, hi):
-        lines, truth = _generate_beneficiary(cfg, pools, hazard_multiplier, k, cal)
-        claim_parts.extend(lines)
-        truth_parts.extend(truth)
+    for first in range(lo, hi, _BATCH):
+        drawn = [
+            _generate_beneficiary(cfg, hazard_multiplier, k, cal)
+            for k in range(first, min(first + _BATCH, hi))
+        ]
+        background = _background_claims([d[1] for d in drawn], cal, tokens)
+        for (bene_line, _, others, truth), claims in zip(drawn, background):
+            claims.extend(others)
+            claims.sort(key=lambda pair: pair[0])
+            claim_parts.append(bene_line)
+            claim_parts.extend(line for _, line in claims)
+            truth_parts.extend(truth)
     claims_text = "\n".join(claim_parts) + ("\n" if claim_parts else "")
     truth_text = "\n".join(truth_parts) + ("\n" if truth_parts else "")
     return claims_text, truth_text, len(claim_parts) - (hi - lo)  # one B line each

@@ -27,6 +27,10 @@ equivalence tests compare the two:
 - ``reference_active_pair_buckets`` and ``reference_active_indices`` featurize
   one trigger of a compiled timeline with eight ``searchsorted`` calls and
   ``np.unique``, against the per-beneficiary set masks of ``CompiledTimeline``.
+- ``claim_type_for``, ``claim_items`` and ``pick`` code one synthetic
+  background claim from its uniforms and picks (the per-claim form), against
+  the batched slots of ``synth._claim_columns``; ``Pools`` reads the code
+  pools they pick from off a ``synth._Tokens`` table.
 - ``reference_batch_logits`` and ``reference_loss_and_grad`` are the sparse
   kernel with a fresh array per step (fancy-indexed slab, cumulative sum,
   zero column) and a per-nonzero row-id gather for the gradient, against the
@@ -66,6 +70,7 @@ from renalrisk.features import (
     sex_key,
 )
 from renalrisk.model import _gather, _log_softmax_true, _softmax_columns
+from renalrisk.synth import _CLAIM_TYPE_NAMES, _stage, _Tokens
 from renalrisk.triggers import (
     _ONE_HOT,
     HORIZON_DAYS,
@@ -417,6 +422,130 @@ def reference_active_indices(
     cols = cols[cols >= 0]
     dem = np.asarray(compiled.demographic_columns(t, vocab), dtype=np.int32)
     return np.sort(np.concatenate([cols, dem]))
+
+
+# -- synthetic background claims ----------------------------------------------------
+
+
+class Pools:
+    """The code pools of a token table, under the names ``claim_items`` reads."""
+
+    def __init__(self, tokens: _Tokens):
+        def codes(name: str) -> list[str]:
+            first = tokens.start[name]
+            return [t.partition(":")[2] for t in tokens.table[first : first + tokens.size[name]]]
+
+        self.icd9_dx, self.icd10_dx = codes("ICD9_DX"), codes("ICD10_DX")
+        self.ccs_dx, self.hcc = codes("CCS_DX"), codes("HCC")
+        self.icd9_px, self.icd10_px, self.ccs_px = codes("ICD9_PX"), codes("ICD10_PX"), codes("CCS_PX")
+        self.cpt, self.hcpcs, self.hcpcs_alpha = codes("CPT"), codes("HCPCS"), codes("HCPCS_ALPHA")
+        self.roles = codes("PERFORMER_ROLE")
+        self.admit_source, self.discharge = codes("ADMIT_SOURCE"), codes("DISCHARGE_DISPOSITION")
+        self.revenue = codes("REVENUE_CODE")
+        self.encounter_ccs, self.encounter_hcc = codes("ENCOUNTER_CCS"), codes("ENCOUNTER_HCC")
+        self.med_hcpcs, self.rxnorm = codes("MED_HCPCS"), codes("RXNORM")
+
+
+def pick(pool: list[str], u: float) -> str:
+    # u**2 skews mass toward the head of the pool, giving a heavy-tailed
+    # code frequency profile without an alias table
+    return pool[int(u * u * len(pool))]
+
+
+def claim_items(
+    pools: Pools,
+    u: np.ndarray,
+    picks: np.ndarray,
+    sev: float,
+    is_ckd: bool,
+    era9: bool,
+    claim_type: str,
+    post_onset: bool,
+) -> list[str]:
+    """Item tokens (``SYSTEM:code``) for one claim."""
+    items: list[str] = []
+    dx_pool = pools.icd9_dx if era9 else pools.icd10_dx
+    dx_sys = "ICD9_DX" if era9 else "ICD10_DX"
+    first_dx = pick(dx_pool, u[0])
+    items.append(f"{dx_sys}:{first_dx}")
+    if u[1] < 0.40:
+        items.append(f"{dx_sys}:{pick(dx_pool, (u[1] / 0.40))}")
+    # crosswalk-style derived grouping for the first diagnosis
+    if u[2] < 0.70:
+        items.append(f"CCS_DX:{pools.ccs_dx[picks[0] % len(pools.ccs_dx)]}")
+    if u[2] > 0.80:
+        items.append(f"HCC:{pools.hcc[picks[1] % len(pools.hcc)]}")
+    if is_ckd and sev > 0:
+        stage = _stage(sev)
+        if post_onset:
+            stage = 6 if u[3] < 0.7 else 5  # ESRD coding after initiation
+        if u[4] < min(0.9, 0.32 + 0.055 * sev) or post_onset:
+            code = f"585{stage}" if era9 else f"N18{stage}"
+            items.append(f"{dx_sys}:{code}")
+            if u[5] < 0.5:
+                items.append("CCS_DX:158")
+            if u[5] > 1.0 - min(0.5, 0.02 + 0.034 * sev):
+                items.append("HCC:136")
+    # procedures
+    if u[6] < 0.5:
+        items.append(f"CPT:{pick(pools.cpt, u[6] / 0.5)}")
+    elif u[6] < 0.62:
+        px_pool = pools.icd9_px if era9 else pools.icd10_px
+        px_sys = "ICD9_PX" if era9 else "ICD10_PX"
+        items.append(f"{px_sys}:{pick(px_pool, (u[6] - 0.5) / 0.12)}")
+        items.append(f"CCS_PX:{pools.ccs_px[picks[2] % len(pools.ccs_px)]}")
+    elif u[6] < 0.75:
+        items.append(f"HCPCS:{pick(pools.hcpcs, (u[6] - 0.62) / 0.13)}")
+    elif u[6] < 0.82:
+        items.append(f"HCPCS_ALPHA:{pick(pools.hcpcs_alpha, (u[6] - 0.75) / 0.07)}")
+    # performer role: nephrology involvement scales with severity
+    if u[7] < 0.8:
+        p_neph = min(0.9, 0.04 + 0.06 * sev) if is_ckd else 0.03
+        if post_onset:
+            p_neph = 0.95
+        if u[8] < p_neph:
+            items.append("PERFORMER_ROLE:nephrology")
+        else:
+            items.append(f"PERFORMER_ROLE:{pools.roles[picks[3] % len(pools.roles)]}")
+    # encounter stream
+    if claim_type == "inpatient":
+        items.append("ENCOUNTER_CLASS:inpatient")
+        items.append(f"ADMIT_SOURCE:{pools.admit_source[picks[4] % len(pools.admit_source)]}")
+        items.append(f"DISCHARGE_DISPOSITION:{pools.discharge[picks[5] % len(pools.discharge)]}")
+        principal_sys = "PRINCIPAL_DX_ICD9" if era9 else "PRINCIPAL_DX_ICD10"
+        items.append(f"{principal_sys}:{first_dx}")
+        items.append(f"REVENUE_CODE:{pools.revenue[picks[6] % len(pools.revenue)]}")
+    else:
+        _classes = {
+            "outpatient": "ambulatory" if u[9] > 0.15 else "emergency",
+            "carrier": "office",
+            "home_health": "home_health",
+            "skilled_nursing": "snf",
+        }
+        items.append(f"ENCOUNTER_CLASS:{_classes[claim_type]}")
+        if u[9] < 0.2:
+            items.append(
+                f"ENCOUNTER_CCS:{pools.encounter_ccs[picks[4] % len(pools.encounter_ccs)]}"
+            )
+        if u[9] > 0.9:
+            items.append(
+                f"ENCOUNTER_HCC:{pools.encounter_hcc[picks[5] % len(pools.encounter_hcc)]}"
+            )
+    # medications
+    esa_p = min(0.5, 0.045 * max(0.0, sev - 3.0)) if is_ckd else 0.0
+    if u[3] < esa_p:
+        items.append("MED_HCPCS:J0885")
+    elif u[3] > 0.82:
+        items.append(f"MED_HCPCS:{pick(pools.med_hcpcs, (u[3] - 0.82) / 0.18)}")
+    if u[5] < 0.25:
+        items.append(f"RXNORM:{pick(pools.rxnorm, u[5] / 0.25)}")
+    return items
+
+
+def claim_type_for(u: float, sev: float) -> str:
+    p_inpatient = 0.04 + 0.016 * min(sev, 14.0)
+    edges = (0.55, 0.84, 0.84 + p_inpatient, 0.92 + p_inpatient)
+    return _CLAIM_TYPE_NAMES[int(np.searchsorted(edges, u, side="right"))]
 
 
 # -- sparse kernel ------------------------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import renalrisk
+import renalrisk.synth as synth_mod
 from renalrisk.cli import main
 from renalrisk.errors import ConfigError
 from renalrisk.pipeline import (
@@ -412,6 +413,33 @@ def test_wrong_typed_config_value_is_a_config_error(tmp_path, capsys, field, val
     assert err.startswith("error: ") and key in err
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+_BAD_VOCAB_SIZES = {
+    "not_a_mapping": [1, 2],
+    "unknown_system": {"CPTT": 5},
+    "string_size": {"CPT": "abc"},
+    "bool_size": {"CPT": True},
+    "float_size": {"CPT": 2.7},
+    "zero_size": {"CPT": 0},
+    "one_performer_role": {"PERFORMER_ROLE": 1},
+}
+
+
+@pytest.mark.parametrize("sizes", _BAD_VOCAB_SIZES.values(), ids=_BAD_VOCAB_SIZES.keys())
+def test_bad_vocab_sizes_are_a_config_error(tmp_path, capsys, sizes):
+    path = write_config(tmp_path, synth={"n_beneficiaries": 400, "vocab_sizes": sizes})
+    assert main(["synth", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "vocab_sizes" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_smallest_vocab_sizes_are_accepted(tmp_path):
+    sizes = {name: 1 for name in synth_mod.DEFAULT_VOCAB_SIZES} | {"PERFORMER_ROLE": 2}
+    path = write_config(tmp_path, synth={"n_beneficiaries": 60, "vocab_sizes": sizes})
+    assert main(["synth", "--config", str(path)]) == 0
 
 
 _BAD_RATIOS = {

@@ -2,12 +2,25 @@ import hashlib
 import io
 from datetime import date
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from renalrisk.claims import default_codeset_library
 from renalrisk.errors import ConfigError
 from renalrisk.synth import (
+    _CLAIM_TYPE_NAMES,
+    _NEVER,
+    DEFAULT_VOCAB_SIZES,
+    ICD10_CUTOVER,
+    SEV_MAX,
     SynthConfig,
+    _background_claims,
+    _Background,
+    _Calendar,
+    _claim_columns,
+    _Tokens,
     calibrate_hazard_multiplier,
     config_from_dict,
     generate,
@@ -15,7 +28,7 @@ from renalrisk.synth import (
 from renalrisk.triggers import enumerate_triggers
 
 from conftest import timelines_by_id
-from reference import decode, first_occurrence, task_codeset
+from reference import Pools, claim_items, claim_type_for, decode, first_occurrence, task_codeset
 
 LIB = default_codeset_library()
 
@@ -229,3 +242,132 @@ def test_validate_rejects_bad_probabilities():
         SynthConfig(n_beneficiaries=5, ckd_fraction=1.5).validate()
     with pytest.raises(ConfigError):
         SynthConfig(n_beneficiaries=0).validate()
+
+
+def test_validate_refuses_a_range_within_one_calendar_month():
+    cfg = SynthConfig(
+        n_beneficiaries=50,
+        date_range=(date(2011, 1, 1), date(2011, 1, 20)),
+        target_365d_prevalence=0.0,
+        late_enrollment_fraction=1.0,
+    )
+    with pytest.raises(ConfigError, match="date_range"):
+        generate(cfg, io.StringIO(), io.StringIO())
+    # two calendar months are enough for a late enrollment in the second
+    two_months = SynthConfig(
+        n_beneficiaries=50,
+        date_range=(date(2011, 1, 31), date(2011, 2, 1)),
+        target_365d_prevalence=0.0,
+        late_enrollment_fraction=1.0,
+    )
+    _, _, summary = run_generate(two_months)
+    assert summary.n_beneficiaries == 50
+
+
+# -- the batched background claims against the per-claim oracle ---------------------
+
+CAL = _Calendar((date(2011, 1, 1), date(2016, 12, 31)))
+CUTOVER_MONTH = next(m for m, start in enumerate(CAL.starts) if start == ICD10_CUTOVER)
+TINY_VOCAB = {name: 2 if name == "PERFORMER_ROLE" else 1 for name in DEFAULT_VOCAB_SIZES}
+U_EDGES = (0.15, 0.2, 0.25, 0.40, 0.5, 0.62, 0.70, 0.75, 0.8, 0.80, 0.82, 0.9)
+
+
+def _p_inpatient(sev):
+    return 0.04 + 0.016 * min(sev, 14.0)
+
+
+def _edge_beneficiary(sev, is_ckd=True, onset=_NEVER, death=_NEVER):
+    """Claims at every branch edge: each u of U_EDGES in every slot, and each claim-type edge.
+
+    The claims fall on the last day of the ICD-9 era and on the first of ICD-10
+    (the cutover), and early in the range.
+    """
+    type_edges = (0.0, 0.55, 0.84, 0.84 + _p_inpatient(sev), 0.92 + _p_inpatient(sev), 0.999)
+    claims = []
+    for j, u in enumerate(U_EDGES):
+        for month, day_u in ((3, 0.5), (CUTOVER_MONTH - 1, 0.99), (CUTOVER_MONTH, 0.0)):
+            type_u = type_edges[(j + month) % len(type_edges)]
+            claims.append((month, day_u, type_u, (u,) * 10, (j, j + 1, j + 2, j + 3, j, j, j)))
+    return (claims, (sev, sev, 0), is_ckd, onset, death)
+
+
+_EDGE_BATCH = [
+    _edge_beneficiary(0.0),
+    ([], (0.0, 0.0, 0), False, _NEVER, _NEVER),  # no claims
+    _edge_beneficiary(6.0),
+    _edge_beneficiary(14.0),
+    _edge_beneficiary(18.0, onset=CAL.starts[20] + 3),  # post-onset from month 20 on
+    ([], (6.0, 6.0, 0), True, _NEVER, _NEVER),
+    _edge_beneficiary(0.0, is_ckd=False),
+    _edge_beneficiary(6.0, is_ckd=False, death=ICD10_CUTOVER - 1),  # dies on the last ICD-9 day
+]
+
+_unit = st.floats(0.0, 1.0, exclude_max=True)
+_claim = st.tuples(
+    st.integers(0, CAL.n_months - 1),
+    _unit,
+    _unit,
+    st.tuples(*[st.one_of(st.sampled_from(U_EDGES), _unit)] * 10),
+    st.tuples(*[st.integers(0, (1 << 30) - 1)] * 7),
+)
+_sev = st.one_of(st.sampled_from([0.0, 6.0, 14.0, 18.0]), st.floats(0.0, SEV_MAX))
+_day = st.one_of(st.just(_NEVER), st.integers(CAL.starts[0], CAL.starts[-1] + 30))
+_beneficiary = st.tuples(
+    st.lists(_claim, max_size=6),
+    st.tuples(_sev, _sev, st.integers(0, CAL.n_months)),  # severity before and from a month
+    st.booleans(),
+    _day,  # onset
+    _day,  # death
+)
+
+
+def _background(k, spec):
+    claims, (sev0, sev1, step), is_ckd, onset, death = spec
+    months, day_u, type_u, u, picks = ([c[i] for c in claims] for i in range(5))
+    return _Background(
+        f"B{k:06d}",
+        np.array(months, dtype=np.int64),
+        np.array(day_u, dtype=float),
+        np.array(type_u, dtype=float),
+        np.array(u, dtype=float).reshape(-1, 10),
+        np.array(picks, dtype=np.int64).reshape(-1, 7),
+        np.where(np.arange(CAL.n_months) < step, sev0, sev1),
+        is_ckd,
+        onset,
+        death,
+    )
+
+
+@example(batch=_EDGE_BATCH, vocab={})
+@example(batch=_EDGE_BATCH, vocab=TINY_VOCAB)
+@settings(max_examples=150, deadline=None)
+@given(
+    batch=st.lists(_beneficiary, min_size=1, max_size=5),
+    vocab=st.sampled_from([{}, TINY_VOCAB]),
+)
+def test_claim_columns_equal_per_claim_reference(batch, vocab):
+    batch = [_background(k, spec) for k, spec in enumerate(batch)]
+    tokens = _Tokens(vocab)
+    pools = Pools(tokens)
+    n = sum(b.months.size for b in batch)
+    days, claim_type, slots, keep = _claim_columns(batch, CAL, tokens)
+    assert len(days) == len(claim_type) == len(slots) == len(keep) == n
+    lines = _background_claims(batch, CAL, tokens)
+    row = 0
+    for b, kept in zip(batch, lines):
+        want = []
+        for i, m in enumerate(b.months.tolist()):
+            day = CAL.day(m, b.day_u[i])
+            sev = float(b.sev[m])
+            ctype = claim_type_for(float(b.type_u[i]), sev)
+            items = claim_items(
+                pools, b.u[i], b.picks[i], sev, b.is_ckd, day < ICD10_CUTOVER, ctype, day > b.onset
+            )
+            assert days[row] == day
+            assert _CLAIM_TYPE_NAMES[claim_type[row]] == ctype
+            assert [tokens.table[t][1:] for t in slots[row] if t >= 0] == items
+            assert keep[row] == (day <= b.death)
+            if day <= b.death:
+                want.append((day, "\t".join(["C", b.bid, CAL.isoformat(day), ctype] + items)))
+            row += 1
+        assert kept == want
