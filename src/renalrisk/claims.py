@@ -248,21 +248,24 @@ class ClaimTimeline:
     pairs: PairTable
 
 
-def first_occurrences(
-    timeline: ClaimTimeline, codesets: Sequence[CodeSet]
-) -> list[date | None]:
-    """Per code set, the earliest service date of a claim carrying one of its codes.
+# The day ordinal of a date that never comes: after every date, so an absent
+# event compares as later than any trigger, claim or horizon.
+NEVER = date.max.toordinal() + 1
 
-    None where no claim matches.
+
+def first_occurrences(timeline: ClaimTimeline, codesets: Sequence[CodeSet]) -> list[int]:
+    """Per code set, the day ordinal of the earliest claim carrying one of its codes.
+
+    NEVER where no claim matches.
     """
-    firsts: list[date | None] = []
+    firsts = []
     for codeset in codesets:
         hits = np.flatnonzero(timeline.pairs.members(codeset)[timeline.pair_ids])
         if hits.size:
             claim = np.searchsorted(timeline.claim_ptr, hits[0], side="right") - 1
-            firsts.append(date.fromordinal(int(timeline.days[claim])))
+            firsts.append(int(timeline.days[claim]))
         else:
-            firsts.append(None)
+            firsts.append(NEVER)
     return firsts
 
 

@@ -12,7 +12,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .claims import ClaimTimeline, CodeSet, first_occurrences
+from .claims import NEVER, ClaimTimeline, CodeSet, first_occurrences
 from .errors import DataError
 from .triggers import HORIZON_DAYS, TASKS
 
@@ -177,9 +177,9 @@ def access_before_onset(
     None when the timeline has no dialysis onset.
     """
     onset, first_access = first_occurrences(timeline, (dialysis, access))
-    if onset is None:
+    if onset == NEVER:
         return None
-    return first_access is not None and first_access < onset
+    return first_access < onset
 
 
 def impact_analysis(

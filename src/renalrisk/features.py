@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from datetime import date
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence, Union
+from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
 
-from .claims import ClaimTimeline, CodeSystem, PairTable, Race, Sex, _iter_lines
+from .claims import ClaimTimeline, CodeSystem, PairTable, Race, Sex, _iter_lines, _parse_date
 from .errors import DataError, ParseError, in_file, naming_file
 from .triggers import N_CLASSES, TASKS
 
@@ -136,19 +135,18 @@ class CompiledTimeline:
         self.claim_ptr = timeline.claim_ptr
         self.pair_ids = timeline.pair_ids
 
-    def _windows(self, dates: Sequence[date]) -> list[list[int]]:
-        """Per trigger date, the item positions that bound buckets 3, 2, 1 and 0, in claim order."""
-        ords = np.fromiter((t.toordinal() for t in dates), dtype=np.int64, count=len(dates))
-        return self.claim_ptr[np.searchsorted(self.days, ords[:, None] - _WINDOW_STARTS)].tolist()
+    def _windows(self, days: np.ndarray) -> list[list[int]]:
+        """Per trigger day, the item positions that bound buckets 3, 2, 1 and 0, in claim order."""
+        return self.claim_ptr[np.searchsorted(self.days, days[:, None] - _WINDOW_STARTS)].tolist()
 
-    def active_pair_buckets(self, dates: Sequence[date]) -> list[np.ndarray]:
-        """Per trigger date, the sorted pair_id * N_BUCKETS + bucket values active there."""
+    def active_pair_buckets(self, days: np.ndarray) -> list[np.ndarray]:
+        """Per trigger day ordinal, the sorted pair_id * N_BUCKETS + bucket values active there."""
         pairs, local = np.unique(self.pair_ids, return_inverse=True)
         keys = (pairs[:, None] * N_BUCKETS + np.arange(N_BUCKETS)).ravel()
         mask = np.zeros((pairs.size, N_BUCKETS), dtype=bool)  # (local pair, bucket)
         flat = mask.ravel()
         out = []
-        for bounds in self._windows(dates):
+        for bounds in self._windows(days):
             for j in range(N_BUCKETS):
                 if bounds[j] < bounds[j + 1]:
                     mask[local[bounds[j] : bounds[j + 1]], N_BUCKETS - 1 - j] = True
@@ -157,31 +155,31 @@ class CompiledTimeline:
             out.append(keys[active])
         return out
 
-    def demographic_columns(self, t: date, vocab: Vocabulary) -> list[int]:
+    def demographic_columns(self, year: int, vocab: Vocabulary) -> list[int]:
         keys = (
             sex_key(self.sex),
             race_key(self.race),
-            age_key(age_bucket(t.year - self.birth_year)),
+            age_key(age_bucket(year - self.birth_year)),
         )
         return [vocab.index[k] for k in keys if k in vocab.index]
 
     def active_indices(
-        self, dates: Sequence[date], vocab: Vocabulary, colmap: np.ndarray
+        self, days: np.ndarray, years: np.ndarray, vocab: Vocabulary, colmap: np.ndarray
     ) -> list[np.ndarray]:
-        """Per trigger date, the sorted vocabulary columns of the row written for it."""
+        """Per trigger day ordinal and its year, the sorted vocabulary columns of its row."""
         n = len(vocab)
         # each item's column in each bucket; -1 (absent) lands in the sentinel slot n
         item_cols = colmap[self.pair_ids[:, None] * N_BUCKETS + np.arange(N_BUCKETS - 1, -1, -1)]
         mask = np.zeros(n + 1, dtype=bool)
         dem_by_year: dict[int, list[int]] = {}
         out = []
-        for t, bounds in zip(dates, self._windows(dates)):
+        for year, bounds in zip(years.tolist(), self._windows(days)):
             for j in range(N_BUCKETS):
                 if bounds[j] < bounds[j + 1]:
                     mask[item_cols[bounds[j] : bounds[j + 1], j]] = True
-            dem = dem_by_year.get(t.year)
+            dem = dem_by_year.get(year)
             if dem is None:
-                dem = dem_by_year[t.year] = self.demographic_columns(t, vocab)
+                dem = dem_by_year[year] = self.demographic_columns(year, vocab)
             mask[dem] = True
             mask[n] = False
             active = np.flatnonzero(mask)
@@ -297,7 +295,11 @@ def _parse_indices(raw: str, line_no: int) -> np.ndarray:
 
 
 def iter_feature_rows(source) -> Iterator[tuple[str, str, dict[str, int], np.ndarray]]:
-    """Parse a feature table; malformed rows raise ParseError with their line number."""
+    """Parse a feature table; malformed rows raise ParseError with their line number.
+
+    Each distinct trigger date is checked once per read.
+    """
+    dates: set[str] = set()
     with naming_file(source):
         for line_no, line in enumerate(_iter_lines(source), start=1):
             if not line.strip() or line.startswith("#"):
@@ -305,6 +307,11 @@ def iter_feature_rows(source) -> Iterator[tuple[str, str, dict[str, int], np.nda
             fields = line.rstrip("\n").split("\t")
             if len(fields) != 3 + len(TASKS):
                 raise ParseError(line_no, f"bad feature row: {line[:80]!r}")
+            if not fields[0]:
+                raise ParseError(line_no, "feature row with empty beneficiary_id")
+            if fields[1] not in dates:
+                _parse_date(fields[1], line_no, "trigger_date")
+                dates.add(fields[1])
             classes = {}
             for task, raw in zip(TASKS, fields[2:-1]):
                 cls = _CLASSES.get(raw)

@@ -481,30 +481,17 @@ def stage_is_fresh(cfg: PipelineConfig, stage: str, cache: _HashCache) -> bool:
     return True
 
 
-def _transitive_producers(cfg: PipelineConfig, stage: str) -> set[str]:
-    seen: set[str] = set()
-    frontier = set(STAGES[stage].inputs(cfg).values())
-    while frontier:
-        producer = frontier.pop()
-        if producer in seen or producer not in STAGES:
-            continue
-        seen.add(producer)
-        frontier |= set(STAGES[producer].inputs(cfg).values())
-    if cfg.synth is None:
-        seen.discard("synth")
-    return seen
-
-
 def _check_upstream(cfg: PipelineConfig, stage: str, cache: _HashCache) -> None:
     """Refuse to run on stale or missing upstream artifacts.
 
-    Walks producers in pipeline order so the error names the earliest missing
-    artifact (e.g. the model file when evaluate runs before train).
+    Every earlier stage feeds this one, directly or through another, except
+    synth when the claims are external. Walks them in pipeline order so the
+    error names the earliest missing artifact (e.g. the model file when
+    evaluate runs before train).
     """
-    producers = _transitive_producers(cfg, stage)
     paths = artifact_paths(cfg)
     for upstream in STAGE_ORDER[: STAGE_ORDER.index(stage)]:
-        if upstream not in producers:
+        if upstream == "synth" and cfg.synth is None:
             continue
         if stage_is_fresh(cfg, upstream, cache):
             continue
@@ -562,8 +549,9 @@ def _run_triggers(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) ->
 
 
 def _run_featurize(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -> None:
-    # eligible trigger dates, their ISO strings and class triples per beneficiary
-    triggers_by_bid: dict[str, list[tuple[date, str, list[int]]]] = {}
+    # per beneficiary with an eligible trigger: its date grid, the eligible
+    # positions on it and their classes (one column per trigger)
+    eligible_by_bid: dict[str, tuple[trig_mod._DateGrid, np.ndarray, np.ndarray]] = {}
     all_ids: set[str] = set()
     for block in trig_mod.iter_trigger_rows(paths["triggers"]):
         if block.beneficiary_id in all_ids:
@@ -572,16 +560,14 @@ def _run_featurize(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -
                 "are not contiguous"
             )
         all_ids.add(block.beneficiary_id)
-        eligible = np.flatnonzero(block.reason_masks == 0).tolist()
-        if eligible:
-            grid, classes = block.grid, block.classes.T.tolist()
-            triggers_by_bid.setdefault(block.beneficiary_id, []).extend(
-                (grid.dates[i], grid.iso[i], classes[i]) for i in eligible
-            )
+        eligible = np.flatnonzero(block.reason_masks == 0)
+        if eligible.size:
+            classes = block.classes[:, eligible]
+            eligible_by_bid[block.beneficiary_id] = (block.grid, eligible, classes)
     train_ids, valid_ids, test_ids = trig_mod.split_beneficiaries(
         all_ids, cfg.split_ratios, cfg.split_seed
     )
-    if not any(bid in train_ids for bid in triggers_by_bid):
+    if not any(bid in train_ids for bid in eligible_by_bid):
         raise DataError("featurize: no eligible training triggers to build a vocabulary from")
 
     def split_of(bid: str) -> str:
@@ -601,14 +587,14 @@ def _run_featurize(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -
     for timeline in claims_mod.iter_timelines(paths["claims"]):
         pairs = timeline.pairs
         bid = timeline.beneficiary.id
-        if bid in triggers_by_bid:
+        if bid in eligible_by_bid:
             compiled[bid] = feat_mod.CompiledTimeline(timeline)
 
     # training triggers per pair-bucket key; each active set holds a key once
     counts = np.zeros(len(pairs) * feat_mod.N_BUCKETS, dtype=np.int64)
-    for bid, trigs in triggers_by_bid.items():
+    for bid, (grid, eligible, _) in eligible_by_bid.items():
         if bid in train_ids:
-            for active in compiled[bid].active_pair_buckets([t for t, _, _ in trigs]):
+            for active in compiled[bid].active_pair_buckets(grid.ordinals[eligible]):
                 counts[active] += 1
     vocab = feat_mod.vocabulary_from_counts(counts, pairs, cfg.min_count)
     vocab_hash = vocab.content_hash()
@@ -622,15 +608,16 @@ def _run_featurize(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -
         for split in n_rows:
             handles[split] = _open_text_artifact(stack, paths[f"features_{split}"], lineage)
             handles[split].write(f"# vocab={vocab_hash}\n")
-        for bid in sorted(triggers_by_bid):
+        for bid in sorted(eligible_by_bid):
             split = split_of(bid)
-            ct = compiled[bid]
             out = handles[split]
-            trigs = triggers_by_bid[bid]
-            rows = ct.active_indices([t for t, _, _ in trigs], vocab, colmap)
-            for (_, iso, classes), indices in zip(trigs, rows):
-                out.write(feat_mod.feature_row(bid, iso, classes, indices, columns) + "\n")
-            n_rows[split] += len(trigs)
+            grid, eligible, classes = eligible_by_bid[bid]
+            rows = compiled[bid].active_indices(
+                grid.ordinals[eligible], grid.years[eligible], vocab, colmap
+            )
+            for i, triple, indices in zip(eligible.tolist(), classes.T.tolist(), rows):
+                out.write(feat_mod.feature_row(bid, grid.iso[i], triple, indices, columns) + "\n")
+            n_rows[split] += eligible.size
     print(
         f"featurize: vocab {len(vocab)} columns; rows "
         f"train={n_rows['train']} valid={n_rows['valid']} test={n_rows['test']}"

@@ -39,12 +39,11 @@ from typing import IO, Mapping, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, check_number_fields, is_number
-from .claims import DEFAULT_CODESETS
+from .claims import DEFAULT_CODESETS, NEVER
 
 SEV_MAX = 18.0  # ceiling of the latent scale; coding saturates near 14
 SEV_REF = 5.0
 ICD10_CUTOVER = date(2015, 10, 1).toordinal()  # claims from this day on are ICD-10 coded
-_NEVER = date.max.toordinal() + 1  # the death day of a beneficiary who does not die
 
 DIALYSIS_CODES = tuple(DEFAULT_CODESETS["dialysis"]["CPT"])
 TRANSPLANT_CODES = tuple(DEFAULT_CODESETS["transplant"]["CPT"])
@@ -205,7 +204,7 @@ class _Profile:
     birth_year: int
     enroll_month: int
     last_month: int  # the death month, or the last month of the range
-    death: int  # day ordinal, or _NEVER
+    death: int  # day ordinal, or NEVER
     is_ckd: bool
     dx_month: int  # may precede enrollment for prevalent disease
     sev0: float
@@ -258,7 +257,7 @@ def _draw_profile(cfg: SynthConfig, k: int, cal: _Calendar):
         last_month = int(death_hits[0])
         death = cal.day(last_month, rng.random())
     else:
-        last_month, death = n_months - 1, _NEVER
+        last_month, death = n_months - 1, NEVER
         rng.random()  # keep the stream aligned whether or not death lands
     profile = _Profile(
         bid=f"B{k:06d}",
@@ -483,8 +482,8 @@ class _Background(NamedTuple):
     picks: np.ndarray  # (claims, 7) integers that pick codes by modulus
     sev: np.ndarray  # severity by month
     is_ckd: bool
-    onset: int  # day ordinal of RRT onset, or _NEVER
-    death: int  # day ordinal, or _NEVER
+    onset: int  # day ordinal of RRT onset, or NEVER
+    death: int  # day ordinal, or NEVER
 
 
 def _claim_columns(
@@ -686,7 +685,7 @@ def _generate_beneficiary(
         picks,
         sev,
         p.is_ckd,
-        _NEVER if onset is None else onset,
+        NEVER if onset is None else onset,
         p.death,
     )
     claims: list[tuple[int, str]] = []  # (day, line) of the claims after the background
@@ -802,7 +801,7 @@ def _generate_beneficiary(
             p.race,
             str(p.birth_year),
             cal.isoformat(cal.starts[p.enroll_month]),
-            "" if p.death == _NEVER else cal.isoformat(p.death),
+            "" if p.death == NEVER else cal.isoformat(p.death),
         ]
     )
     return bene_line, background, claims, truth

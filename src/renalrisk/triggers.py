@@ -27,7 +27,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .claims import ClaimTimeline, CodeSetLibrary, _iter_lines, _parse_date, first_occurrences
+from .claims import NEVER, ClaimTimeline, CodeSetLibrary, _iter_lines, _parse_date
+from .claims import first_occurrences
 from .errors import ConfigError, ParseError, is_number, naming_file
 
 TASKS = ("rrt", "dialysis", "transplant")
@@ -77,33 +78,6 @@ def month_firsts(start: date, end: date) -> list[date]:
     return out
 
 
-@dataclass(frozen=True)
-class _TimelineFacts:
-    birth_year: int
-    first_ckd: int | None
-    first_rrt: int | None
-    first_by_task: dict[str, int | None]
-
-
-def _ordinal(day: date | None) -> int | None:
-    return None if day is None else day.toordinal()
-
-
-def _facts(timeline: ClaimTimeline, library: CodeSetLibrary) -> _TimelineFacts:
-    ckd, dialysis, transplant = first_occurrences(
-        timeline, (library.ckd, library.dialysis, library.transplant)
-    )
-    # the rrt code set is the union of the dialysis and transplant sets
-    rrt = min((d for d in (dialysis, transplant) if d is not None), default=None)
-    firsts = {"rrt": rrt, "dialysis": dialysis, "transplant": transplant}
-    return _TimelineFacts(
-        birth_year=timeline.beneficiary.birth_year,
-        first_ckd=_ordinal(ckd),
-        first_rrt=_ordinal(rrt),
-        first_by_task={task: _ordinal(firsts[task]) for task in TASKS},
-    )
-
-
 # Bit k of a reason mask is set when the k-th IneligibilityReason holds; 0 is eligible.
 _REASONS = tuple(IneligibilityReason)
 N_REASON_MASKS = 1 << len(_REASONS)
@@ -118,19 +92,17 @@ _ROW_TAILS = tuple(
 )
 _LABEL_BITS = tuple("".join(map(str, label)) for label in _ONE_HOT)
 _HORIZONS = np.asarray(HORIZON_DAYS, dtype=np.int64)
-# Stands in for an event that never happens: after every trigger, beyond every horizon.
-_NEVER = 1 << 40
 
 
 class _DateGrid:
-    """Trigger dates as dates, ordinals, years and ISO strings."""
+    """Trigger dates as day ordinals, years and ISO strings."""
 
     def __init__(self, dates: Iterable[date]):
-        self.dates = tuple(dates)
-        self.ordinals = np.asarray([t.toordinal() for t in self.dates], dtype=np.int64)
-        self.years = np.asarray([t.year for t in self.dates], dtype=np.int64)
+        dates = tuple(dates)
+        self.ordinals = np.asarray([t.toordinal() for t in dates], dtype=np.int64)
+        self.years = np.asarray([t.year for t in dates], dtype=np.int64)
         self.ordinals.flags.writeable = self.years.flags.writeable = False  # shared by blocks
-        self.iso = tuple(t.isoformat() for t in self.dates)
+        self.iso = tuple(t.isoformat() for t in dates)
 
 
 @lru_cache(maxsize=8)
@@ -141,11 +113,11 @@ def _month_grid(start: date, end: date) -> _DateGrid:
 class TriggerBlock:
     """The candidate triggers of one beneficiary, one per date of its grid.
 
-    ``grid.dates[i]`` is trigger i's date, ``reason_masks[i]`` its ineligibility
-    reasons as bits (0 means eligible), and ``classes[j, i]`` task j's class
-    index there (read only where eligible). Iterating yields the per-month view,
-    one Trigger per date, which no stage builds: the triggers stage writes
-    ``lines()``, and ``iter_trigger_rows`` reads them back into blocks.
+    ``grid.ordinals[i]`` is trigger i's day ordinal, ``reason_masks[i]`` its
+    ineligibility reasons as bits (0 means eligible), and ``classes[j, i]`` task
+    j's class index there (read only where eligible). Iterating yields the
+    per-month view, one Trigger per date, which no stage builds: the triggers
+    stage writes ``lines()``, and ``iter_trigger_rows`` reads them back into blocks.
     """
 
     __slots__ = ("beneficiary_id", "grid", "reason_masks", "classes")
@@ -157,13 +129,14 @@ class TriggerBlock:
         self.classes = classes
 
     def __len__(self) -> int:
-        return len(self.grid.dates)
+        return len(self.grid.iso)
 
     def __iter__(self) -> Iterator[Trigger]:
         bid = self.beneficiary_id
-        for t, mask, classes in zip(
-            self.grid.dates, self.reason_masks.tolist(), self.classes.T.tolist()
+        for day, mask, classes in zip(
+            self.grid.ordinals.tolist(), self.reason_masks.tolist(), self.classes.T.tolist()
         ):
+            t = date.fromordinal(day)
             if mask:
                 yield Trigger(bid, t, False, _REASON_SETS[mask])
             else:
@@ -204,26 +177,27 @@ def enumerate_triggers(
             f"dataset end {dataset_end}"
         )
     grid = _month_grid(start, end)
-    facts = _facts(timeline, library)
+    ckd, dialysis, transplant = first_occurrences(
+        timeline, (library.ckd, library.dialysis, library.transplant)
+    )
+    # each task's first event day, in TASKS order: rrt is dialysis or transplant
+    firsts = np.asarray([min(dialysis, transplant), dialysis, transplant], dtype=np.int64)
     t = grid.ordinals
     days = timeline.days
-    first_day = days[0] if days.size else _NEVER
-    first_ckd = _NEVER if facts.first_ckd is None else facts.first_ckd
-    first_rrt = _NEVER if facts.first_rrt is None else facts.first_rrt
+    first_day = days[0] if days.size else NEVER
     # a claim dated in [t - 30, t) is a recent one
     recent = np.searchsorted(days, t - 30) < np.searchsorted(days, t)
     reasons = (  # in the order of _REASONS
-        grid.years - facts.birth_year < 65,
-        first_ckd >= t,
-        first_rrt <= t,
+        grid.years - timeline.beneficiary.birth_year < 65,
+        ckd >= t,
+        firsts[0] <= t,
         first_day > t - 365,
         ~recent,
     )
     masks = np.zeros(t.size, dtype=np.int64)
     for k, holds in enumerate(reasons):
         masks |= holds.astype(np.int64) << k
-    firsts = [facts.first_by_task[task] for task in TASKS]
-    offsets = np.asarray([_NEVER if f is None else f for f in firsts], dtype=np.int64)[:, None] - t
+    offsets = firsts[:, None] - t
     classes = np.where(offsets >= 1, np.searchsorted(_HORIZONS, offsets), N_CLASSES - 1)
     return TriggerBlock(timeline.beneficiary.id, grid, masks, classes)
 

@@ -1,5 +1,6 @@
 from datetime import date
 
+import numpy as np
 import pytest
 
 from renalrisk.claims import (
@@ -63,6 +64,21 @@ def monthly_claims(bid, start, n_months, items=(("ICD10_DX", "E001"),), day=15):
     return claims
 
 
+def _ordinals(dates):
+    return np.asarray([t.toordinal() for t in dates], dtype=np.int64)
+
+
+def pair_buckets(compiled, dates):
+    """CompiledTimeline.active_pair_buckets at these trigger dates."""
+    return compiled.active_pair_buckets(_ordinals(dates))
+
+
+def feature_indices(compiled, dates, vocab, colmap):
+    """CompiledTimeline.active_indices at these trigger dates."""
+    years = np.asarray([t.year for t in dates], dtype=np.int64)
+    return compiled.active_indices(_ordinals(dates), years, vocab, colmap)
+
+
 @pytest.fixture
 def eligible_timeline():
     """A beneficiary eligible at 2013-06-01: old enough, CKD-coded, a year of
@@ -82,4 +98,6 @@ __all__ = [
     "timeline_with",
     "timelines_by_id",
     "monthly_claims",
+    "pair_buckets",
+    "feature_indices",
 ]

@@ -13,14 +13,16 @@ equivalence tests compare the two:
   into one ``Trigger`` (the per-row form), where ``iter_trigger_rows`` checks
   each distinct date and tail once per read and yields ``TriggerBlock``s.
 - ``first_occurrence`` scans a timeline's claims for one code set, against
-  the membership gathers of ``first_occurrences``; ``task_codeset`` spells
-  out each task's code set, rrt as the union of the dialysis and transplant
-  sets.
+  the membership gathers of ``first_occurrences``; ``day_or_never`` turns its
+  date into the day ordinal (or ``NEVER``) that ``first_occurrences`` gives;
+  ``task_codeset`` spells out each task's code set, rrt as the union of the
+  dialysis and transplant sets.
 - ``brute_force_label`` scans every day offset after a trigger, against the
   labels of ``enumerate_triggers``.
-- ``reference_enumerate_triggers`` screens and labels one month at a time and
-  ``trigger_row`` formats one Trigger, against the per-beneficiary masks and
-  ``lines()`` of ``enumerate_triggers``.
+- ``reference_enumerate_triggers`` screens and labels one month at a time,
+  from the ``first_occurrence`` dates of the code sets, and ``trigger_row``
+  formats one Trigger, against the per-beneficiary masks and ``lines()`` of
+  ``enumerate_triggers``.
 - ``collect_active_keys``, ``featurize`` and ``build_vocabulary`` scan every
   claim of a timeline, one trigger at a time, against ``CompiledTimeline`` and
   ``vocabulary_from_counts``.
@@ -47,6 +49,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from renalrisk.claims import (
+    NEVER,
     Beneficiary,
     ClaimTimeline,
     ClaimType,
@@ -78,8 +81,6 @@ from renalrisk.triggers import (
     TASKS,
     IneligibilityReason,
     Trigger,
-    _facts,
-    _TimelineFacts,
     month_firsts,
 )
 
@@ -264,6 +265,11 @@ def first_occurrence(timeline: ClaimTimeline, codeset: CodeSet) -> date | None:
     return None
 
 
+def day_or_never(day: date | None) -> int:
+    """A ``first_occurrence`` date as ``first_occurrences`` gives it: a day ordinal, or NEVER."""
+    return NEVER if day is None else day.toordinal()
+
+
 def brute_force_label(timeline: ClaimTimeline, t: date, codeset: CodeSet) -> tuple[int, ...]:
     """One-hot window of the first codeset event after t, by scanning every day offset."""
     claims = decode(timeline)
@@ -283,16 +289,16 @@ def brute_force_label(timeline: ClaimTimeline, t: date, codeset: CodeSet) -> tup
 
 
 def _eligibility(
-    facts: _TimelineFacts, days: list[int], t: date
+    birth_year: int, first_ckd: date | None, first_rrt: date | None, days: list[int], t: date
 ) -> frozenset[IneligibilityReason]:
     """The reasons t is ineligible, given the sorted day ordinals of the claims."""
     t_ord = t.toordinal()
     reasons = set()
-    if t.year - facts.birth_year < 65:
+    if t.year - birth_year < 65:
         reasons.add(IneligibilityReason.UNDER_65)
-    if facts.first_ckd is None or facts.first_ckd >= t_ord:
+    if first_ckd is None or first_ckd >= t:
         reasons.add(IneligibilityReason.NO_CKD_DX)
-    if facts.first_rrt is not None and facts.first_rrt <= t_ord:
+    if first_rrt is not None and first_rrt <= t:
         reasons.add(IneligibilityReason.RRT_ALREADY_INITIATED)
     if not days or days[0] > t_ord - 365:
         reasons.add(IneligibilityReason.INSUFFICIENT_HISTORY)
@@ -313,21 +319,24 @@ def reference_enumerate_triggers(
     trigger_range: tuple[date, date],
     library: CodeSetLibrary,
 ) -> list[Trigger]:
-    """One Trigger per first-of-month in trigger_range, each screened and labeled on its own."""
-    facts = _facts(timeline, library)
+    """One Trigger per first-of-month in trigger_range, each screened and labeled on its own.
+
+    Each first event comes from a ``first_occurrence`` scan of its code set.
+    """
+    first_ckd = first_occurrence(timeline, library.ckd)
+    firsts = {task: first_occurrence(timeline, task_codeset(library, task)) for task in TASKS}
+    birth_year = timeline.beneficiary.birth_year
     days = timeline.days.tolist()
     out = []
     for t in month_firsts(*trigger_range):
-        reasons = _eligibility(facts, days, t)
+        reasons = _eligibility(birth_year, first_ckd, firsts["rrt"], days, t)
         if reasons:
             out.append(Trigger(timeline.beneficiary.id, t, False, reasons))
             continue
-        t_ord = t.toordinal()
         labels = {}
         for task in TASKS:
-            first = facts.first_by_task[task]
-            offset = None if first is None else first - t_ord
-            labels[task] = _label_from_offset(offset)
+            first = firsts[task]
+            labels[task] = _label_from_offset(None if first is None else (first - t).days)
         out.append(Trigger(timeline.beneficiary.id, t, True, frozenset(), labels))
     return out
 
@@ -420,7 +429,7 @@ def reference_active_indices(
     """Sorted vocabulary columns of trigger t: its in-vocabulary keys plus demographics."""
     cols = colmap[reference_active_pair_buckets(compiled, t)]
     cols = cols[cols >= 0]
-    dem = np.asarray(compiled.demographic_columns(t, vocab), dtype=np.int32)
+    dem = np.asarray(compiled.demographic_columns(t.year, vocab), dtype=np.int32)
     return np.sort(np.concatenate([cols, dem]))
 
 

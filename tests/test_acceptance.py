@@ -33,9 +33,11 @@ from renalrisk.synth import SynthConfig, generate
 from renalrisk.triggers import enumerate_triggers
 
 from conftest import (
+    feature_indices,
     make_beneficiary,
     make_claim,
     monthly_claims,
+    pair_buckets,
     timeline_lines,
     timeline_with,
     timelines_by_id,
@@ -212,12 +214,12 @@ def test_criterion_5_no_future_leakage():
         pairs = timelines["b1"].pairs
         compiled = CompiledTimeline(timelines["b1"])
         counts = np.zeros(len(pairs) * N_BUCKETS, dtype=np.int64)
-        (active,) = compiled.active_pair_buckets([t])
+        (active,) = pair_buckets(compiled, [t])
         counts[active] = 1
         vocab = vocabulary_from_counts(counts, pairs)
         colmap = column_map(vocab, pairs)
-        (base,) = compiled.active_indices([t], vocab, colmap)
-        (plus,) = CompiledTimeline(timelines["b2"]).active_indices([t], vocab, colmap)
+        (base,) = feature_indices(compiled, [t], vocab, colmap)
+        (plus,) = feature_indices(CompiledTimeline(timelines["b2"]), [t], vocab, colmap)
         if not np.array_equal(plus, base):
             violations += 1
     record(5, violations == 0, f"future-claim injection: {violations} violations in 10000 trials")

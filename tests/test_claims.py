@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renalrisk.claims import (
+    NEVER,
     CodeSet,
     CodeSystem,
     ParseError,
@@ -14,7 +15,7 @@ from renalrisk.claims import (
     load_codeset_library,
 )
 from renalrisk.errors import ConfigError
-from renalrisk.triggers import _facts
+from renalrisk.triggers import TASKS, enumerate_triggers
 
 from conftest import make_beneficiary, make_claim, timeline_with, timelines_by_id
 from reference import decode, decoded, reference_parse_claims, task_codeset
@@ -164,7 +165,7 @@ def test_first_occurrence_absent_without_match():
     tl = timeline_with(
         make_beneficiary(), make_claim("b1", date(2012, 1, 1), [("CPT", "00000")])
     )
-    assert first_occurrences(tl, [_single_code_set("d", "CPT", "90951")]) == [None]
+    assert first_occurrences(tl, [_single_code_set("d", "CPT", "90951")]) == [NEVER]
 
 
 def test_first_occurrence_takes_min_date():
@@ -174,7 +175,7 @@ def test_first_occurrence_takes_min_date():
         make_claim("b1", date(2014, 3, 1), [("CPT", "90955")]),
     )
     lib = default_codeset_library()
-    assert first_occurrences(tl, [lib.dialysis]) == [date(2014, 3, 1)]
+    assert first_occurrences(tl, [lib.dialysis]) == [date(2014, 3, 1).toordinal()]
 
 
 def test_first_occurrence_union_semantics():
@@ -184,9 +185,9 @@ def test_first_occurrence_union_semantics():
     )
     rrt = task_codeset(lib, "rrt")
     assert first_occurrences(tl, (lib.transplant, rrt, lib.dialysis)) == [
-        date(2013, 7, 4),
-        date(2013, 7, 4),
-        None,
+        date(2013, 7, 4).toordinal(),
+        date(2013, 7, 4).toordinal(),
+        NEVER,
     ]
 
 
@@ -205,7 +206,7 @@ def test_first_occurrence_of_union_is_min_of_parts(events):
     ]
     tl = timeline_with(make_beneficiary(), *claims)
     sets = (lib.dialysis, lib.transplant, task_codeset(lib, "rrt"))
-    d, t, u = (day or date.max for day in first_occurrences(tl, sets))
+    d, t, u = first_occurrences(tl, sets)
     assert u == min(d, t)
 
 
@@ -213,13 +214,26 @@ def test_rrt_is_union_of_dialysis_and_transplant(library):
     """The rrt event is the first claim coded from either the dialysis or the transplant set."""
     tl = timeline_with(
         make_beneficiary(),
+        make_claim("b1", date(2012, 1, 10), [("ICD10_DX", "N183")]),
+        make_claim("b1", date(2013, 6, 20)),
         make_claim("b1", date(2013, 7, 4), [("CPT", "50360")]),
         make_claim("b1", date(2013, 9, 1), [("CPT", "90951")]),
     )
-    facts = _facts(tl, library)
-    assert facts.first_rrt == facts.first_by_task["rrt"] == date(2013, 7, 4).toordinal()
-    assert facts.first_by_task["transplant"] == date(2013, 7, 4).toordinal()
-    assert facts.first_by_task["dialysis"] == date(2013, 9, 1).toordinal()
+    sets = (task_codeset(library, "rrt"), library.transplant, library.dialysis)
+    assert first_occurrences(tl, sets) == [
+        date(2013, 7, 4).toordinal(),
+        date(2013, 7, 4).toordinal(),
+        date(2013, 9, 1).toordinal(),
+    ]
+    t = date(2013, 7, 1)
+    (trig,) = enumerate_triggers(tl, (t, t), library, date(2016, 12, 31))
+    assert trig.eligible
+    # rrt and transplant 3 days out (0,30]; dialysis 62 days out (60,90]
+    assert {task: trig.labels[task].index(1) for task in TASKS} == {
+        "rrt": 0,
+        "transplant": 0,
+        "dialysis": 2,
+    }
 
 
 def test_codeset_file_override(tmp_path):

@@ -23,7 +23,15 @@ from renalrisk.features import (
 )
 from renalrisk.pipeline import load_pipeline_config, run_stage
 
-from conftest import make_beneficiary, make_claim, timeline_lines, timeline_with, timelines_by_id
+from conftest import (
+    feature_indices,
+    make_beneficiary,
+    make_claim,
+    pair_buckets,
+    timeline_lines,
+    timeline_with,
+    timelines_by_id,
+)
 from reference import (
     build_vocabulary,
     collect_active_keys,
@@ -45,7 +53,7 @@ def _build_vocabulary(training, min_count=1):
     assert all(timeline.pairs is pairs for timeline, _ in training)
     counts = np.zeros(len(pairs) * N_BUCKETS, dtype=np.int64)
     for timeline, dates in training:
-        for active in CompiledTimeline(timeline).active_pair_buckets(dates):
+        for active in pair_buckets(CompiledTimeline(timeline), dates):
             counts[active] += 1
     return vocabulary_from_counts(counts, pairs, min_count)
 
@@ -57,7 +65,7 @@ def _vocab_for(timeline, t=T):
 def _features(timeline, vocab, t=T):
     """The column indices the featurize stage writes for timeline at t."""
     compiled = CompiledTimeline(timeline)
-    (row,) = compiled.active_indices([t], vocab, column_map(vocab, timeline.pairs))
+    (row,) = feature_indices(compiled, [t], vocab, column_map(vocab, timeline.pairs))
     return tuple(row.tolist())
 
 
@@ -71,7 +79,7 @@ def _active_keys(timeline, t=T):
 def test_day_bucket_boundaries():
     def day_bucket(offset):
         tl = _tl(make_claim("b1", T - timedelta(days=offset), [("CPT", "1")]))
-        (buckets,) = CompiledTimeline(tl).active_pair_buckets([T])
+        (buckets,) = pair_buckets(CompiledTimeline(tl), [T])
         assert buckets.size <= 1
         return int(buckets[0]) % N_BUCKETS if buckets.size else None
 
@@ -325,7 +333,7 @@ def _arrays_equal(got, want):
 def test_per_beneficiary_sets_equal_the_per_trigger_reference(case):
     timeline, dates = case
     compiled = CompiledTimeline(timeline)
-    buckets = compiled.active_pair_buckets(dates)
+    buckets = pair_buckets(compiled, dates)
     assert _arrays_equal(buckets, [reference_active_pair_buckets(compiled, t) for t in dates])
     for t, active in zip(dates, buckets):
         coded = {k for k in collect_active_keys(timeline, t) if k.startswith("code/")}
@@ -333,7 +341,7 @@ def test_per_beneficiary_sets_equal_the_per_trigger_reference(case):
     # a vocabulary from the first trigger only, so later triggers have unseen keys
     vocab = build_vocabulary([(timeline, dates[:1])])
     colmap = column_map(vocab, timeline.pairs)
-    rows = compiled.active_indices(dates, vocab, colmap)
+    rows = feature_indices(compiled, dates, vocab, colmap)
     want = [reference_active_indices(compiled, t, vocab, colmap) for t in dates]
     assert _arrays_equal(rows, want)
     assert [tuple(row.tolist()) for row in rows] == [featurize(timeline, t, vocab) for t in dates]
@@ -399,9 +407,11 @@ def _feature_line(classes="0\t1\t5", indices="1,4,7"):
         (_feature_line(indices="-1,2"), "not strictly increasing"),
         (_feature_line(indices="1,4294967297"), "not strictly increasing"),
         ("b1\t2014-01-01\t0\t1\n", "bad feature row"),
+        ("b1\t2013-13-01\t0\t1\t5\t1,4,7\n", "bad trigger_date '2013-13-01'"),
+        ("\t2014-01-01\t0\t1\t5\t1,4,7\n", "feature row with empty beneficiary_id"),
     ],
     ids=["letter", "class 6", "class -1", "letter index", "decreasing", "repeated", "negative",
-         "beyond int32", "short row"],
+         "beyond int32", "short row", "bad date", "empty id"],
 )
 def test_feature_rows_refuse_bad_classes_and_indices(line, message):
     with pytest.raises(ParseError, match=f"^line 3: .*{re.escape(message)}"):

@@ -1,5 +1,5 @@
-"""The columnar claims and trigger readers, the pair table and facts, against per-token
-references.
+"""The columnar claims and trigger readers, the pair table and first occurrences, against
+per-token references.
 
 The reference parsers in ``reference.py`` validate every token on every line
 and build one object per claim or row. The readers validate each distinct
@@ -17,8 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from renalrisk import triggers as trig_mod
 from renalrisk.claims import (
+    NEVER,
     ClaimType,
     CodeSystem,
     ParseError,
@@ -27,10 +27,11 @@ from renalrisk.claims import (
     iter_timelines,
 )
 from renalrisk.evaluation import access_before_onset
-from renalrisk.triggers import TASKS, _facts, enumerate_triggers, iter_trigger_rows
+from renalrisk.triggers import TASKS, enumerate_triggers, iter_trigger_rows
 
 from conftest import make_beneficiary, make_claim, monthly_claims, timeline_with
 from reference import (
+    day_or_never,
     decode,
     decoded,
     first_occurrence,
@@ -167,18 +168,6 @@ def fact_timelines(draw):
     return timeline_with(make_beneficiary("b1", birth_year=1940), *claims)
 
 
-def reference_facts(timeline, library):
-    """The trigger facts from one first_occurrence scan per code set."""
-    fo = {task: first_occurrence(timeline, task_codeset(library, task)) for task in TASKS}
-    ckd = first_occurrence(timeline, library.ckd)
-    return trig_mod._TimelineFacts(
-        birth_year=timeline.beneficiary.birth_year,
-        first_ckd=ckd.toordinal() if ckd else None,
-        first_rrt=fo["rrt"].toordinal() if fo["rrt"] else None,
-        first_by_task={k: (v.toordinal() if v else None) for k, v in fo.items()},
-    )
-
-
 def reference_access_before_onset(timeline, dialysis, access):
     onset = first_occurrence(timeline, dialysis)
     if onset is None:
@@ -195,8 +184,10 @@ def reference_access_before_onset(timeline, dialysis, access):
 @settings(max_examples=200, deadline=None)
 def test_one_scan_facts_equal_first_occurrence(timeline):
     sets = (LIB.ckd, LIB.dialysis, LIB.transplant, LIB.access_creation, task_codeset(LIB, "rrt"))
-    assert first_occurrences(timeline, sets) == [first_occurrence(timeline, cs) for cs in sets]
-    assert _facts(timeline, LIB) == reference_facts(timeline, LIB)
+    firsts = first_occurrences(timeline, sets)
+    assert firsts == [day_or_never(first_occurrence(timeline, cs)) for cs in sets]
+    # enumerate_triggers takes the rrt event as the earlier of dialysis and transplant
+    assert min(firsts[1], firsts[2]) == firsts[4]
     assert access_before_onset(
         timeline, LIB.dialysis, LIB.access_creation
     ) == reference_access_before_onset(timeline, LIB.dialysis, LIB.access_creation)
@@ -221,7 +212,7 @@ def test_first_occurrences_equal_first_occurrence_across_one_read(lines):
     """Each timeline is checked as the read streams, before later ones intern their pairs."""
     for timeline in iter_timelines(lines):
         assert first_occurrences(timeline, _SETS) == [
-            first_occurrence(timeline, cs) for cs in _SETS
+            day_or_never(first_occurrence(timeline, cs)) for cs in _SETS
         ]
 
 
@@ -235,7 +226,7 @@ def test_membership_grows_with_pairs_interned_after_it_was_computed():
     found = []
     for timeline in iter_timelines(lines):
         found.append(first_occurrences(timeline, [LIB.dialysis]))
-    assert found == [[None], [date(2012, 3, 1)]]
+    assert found == [[NEVER], [date(2012, 3, 1).toordinal()]]
     assert timeline.pairs.members(LIB.dialysis).tolist() == [False, True]
 
 

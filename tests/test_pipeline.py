@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,8 @@ import renalrisk.synth as synth_mod
 from renalrisk.cli import main
 from renalrisk.errors import ConfigError
 from renalrisk.pipeline import (
+    STAGE_ORDER,
+    STAGES,
     artifact_paths,
     atomic_output,
     load_pipeline_config,
@@ -284,6 +287,21 @@ def test_train_refuses_a_malformed_feature_row(
     assert not list(workdir.glob("*.tmp"))
 
 
+@pytest.mark.parametrize("command", ["predict", "reproduce"])
+def test_predict_refuses_a_malformed_trigger_date(completed_run, tmp_path, capsys, command):
+    workdir, cfg_path = _copy_of_run(completed_run, tmp_path)
+    features = workdir / "features_test.tsv"
+    line_no = _set_field(features, 1, "2013-13-01")
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"error: {features}: line {line_no}: bad trigger_date '2013-13-01' (expected YYYY-MM-DD)"
+    )
+    assert "Traceback" not in err
+    assert not list(workdir.glob("*.tmp"))
+
+
 @pytest.mark.parametrize("outside", ["-1", "vocab size"])
 def test_predict_refuses_a_feature_index_outside_the_vocabulary(
     completed_run, tmp_path, capsys, outside
@@ -491,3 +509,20 @@ def test_grid_config_parsed(tmp_path):
     cfg = load_pipeline_config(cfg_path)
     assert cfg.grid is not None and len(cfg.grid) == 2
     assert cfg.hyperparams is None
+
+
+@pytest.mark.parametrize("tasks", [["rrt", "dialysis", "transplant"], ["dialysis"]])
+@pytest.mark.parametrize("external_claims", [False, True])
+def test_every_earlier_stage_feeds_each_stage(tmp_path, tasks, external_claims):
+    """Upstream checks walk every earlier stage, so each must feed the stage through inputs."""
+    cfg = load_pipeline_config(write_config(tmp_path, train={"tasks": tasks}))
+    if external_claims:
+        cfg = replace(cfg, synth=None, claims_path=tmp_path / "claims.tsv")
+    for i, stage in enumerate(STAGE_ORDER):
+        producers, frontier = set(), [stage]
+        while frontier:
+            for producer in STAGES[frontier.pop()].inputs(cfg).values():
+                if producer not in producers:
+                    producers.add(producer)
+                    frontier.append(producer)
+        assert producers == set(STAGE_ORDER[:i]), stage

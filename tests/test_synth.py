@@ -7,11 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from renalrisk.claims import default_codeset_library
+from renalrisk.claims import NEVER, default_codeset_library
 from renalrisk.errors import ConfigError
 from renalrisk.synth import (
     _CLAIM_TYPE_NAMES,
-    _NEVER,
     DEFAULT_VOCAB_SIZES,
     ICD10_CUTOVER,
     SEV_MAX,
@@ -276,7 +275,7 @@ def _p_inpatient(sev):
     return 0.04 + 0.016 * min(sev, 14.0)
 
 
-def _edge_beneficiary(sev, is_ckd=True, onset=_NEVER, death=_NEVER):
+def _edge_beneficiary(sev, is_ckd=True, onset=NEVER, death=NEVER):
     """Claims at every branch edge: each u of U_EDGES in every slot, and each claim-type edge.
 
     The claims fall on the last day of the ICD-9 era and on the first of ICD-10
@@ -293,11 +292,11 @@ def _edge_beneficiary(sev, is_ckd=True, onset=_NEVER, death=_NEVER):
 
 _EDGE_BATCH = [
     _edge_beneficiary(0.0),
-    ([], (0.0, 0.0, 0), False, _NEVER, _NEVER),  # no claims
+    ([], (0.0, 0.0, 0), False, NEVER, NEVER),  # no claims
     _edge_beneficiary(6.0),
     _edge_beneficiary(14.0),
     _edge_beneficiary(18.0, onset=CAL.starts[20] + 3),  # post-onset from month 20 on
-    ([], (6.0, 6.0, 0), True, _NEVER, _NEVER),
+    ([], (6.0, 6.0, 0), True, NEVER, NEVER),
     _edge_beneficiary(0.0, is_ckd=False),
     _edge_beneficiary(6.0, is_ckd=False, death=ICD10_CUTOVER - 1),  # dies on the last ICD-9 day
 ]
@@ -311,7 +310,7 @@ _claim = st.tuples(
     st.tuples(*[st.integers(0, (1 << 30) - 1)] * 7),
 )
 _sev = st.one_of(st.sampled_from([0.0, 6.0, 14.0, 18.0]), st.floats(0.0, SEV_MAX))
-_day = st.one_of(st.just(_NEVER), st.integers(CAL.starts[0], CAL.starts[-1] + 30))
+_day = st.one_of(st.just(NEVER), st.integers(CAL.starts[0], CAL.starts[-1] + 30))
 _beneficiary = st.tuples(
     st.lists(_claim, max_size=6),
     st.tuples(_sev, _sev, st.integers(0, CAL.n_months)),  # severity before and from a month

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from renalrisk.claims import default_codeset_library
 from renalrisk.errors import ConfigError, ParseError
 from renalrisk.triggers import (
+    N_CLASSES,
     TASKS,
     IneligibilityReason as R,
     enumerate_triggers,
@@ -62,6 +63,18 @@ def test_no_claims_beneficiary_gets_three_reasons():
             R.INSUFFICIENT_HISTORY,
             R.NO_RECENT_CLAIM,
         }
+
+
+def test_no_event_labels_the_no_event_class_at_every_trigger(eligible_timeline):
+    """An absent claim or event (claims.NEVER) is after every trigger and beyond every horizon."""
+    empty = enumerate_triggers(timeline_with(make_beneficiary()), RANGE, LIB, DATASET_END)
+    ckd_only = enumerate_triggers(eligible_timeline, RANGE, LIB, DATASET_END)
+    for block in (empty, ckd_only):
+        assert (block.classes == N_CLASSES - 1).all()
+    assert all(R.INSUFFICIENT_HISTORY in trig.reasons for trig in empty)
+    eligible = [trig for trig in ckd_only if trig.eligible]
+    assert eligible
+    assert all(trig.labels[task][-1] == 1 for trig in eligible for task in TASKS)
 
 
 def test_post_onset_triggers_ineligible():
