@@ -7,7 +7,6 @@ All metrics are computed per trigger. The classification rule everywhere is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -34,53 +33,6 @@ def _as_arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     return s, y
 
 
-def roc_auc(scores, labels) -> float:
-    """Probability a random positive outscores a random negative, ties at 1/2.
-
-    Computed from sorted tie groups in O(n log n); exact integer pair counts
-    feed one final float division.
-    """
-    s, y = _as_arrays(scores, labels)
-    n_pos = int(y.sum())
-    n_neg = y.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise DataError("undefined metric: roc_auc needs both classes present")
-    order = np.argsort(s, kind="stable")
-    s_sorted = s[order]
-    y_sorted = y[order]
-    boundaries = np.flatnonzero(np.diff(s_sorted)) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [s.size]])
-    pos_cum = np.concatenate([[0], np.cumsum(y_sorted)])
-    wins = 0
-    ties = 0
-    for a, b in zip(starts, ends):
-        group_pos = int(pos_cum[b] - pos_cum[a])
-        group_neg = int(b - a) - group_pos
-        pos_below = int(pos_cum[a])
-        pos_above = n_pos - pos_below - group_pos
-        wins += group_neg * pos_above
-        ties += group_neg * group_pos
-    return float(2 * wins + ties) / float(2 * n_pos * n_neg)
-
-
-def pr_auc(scores, labels) -> float:
-    """Average precision: step-wise area, no interpolation, tie groups merged."""
-    s, y = _as_arrays(scores, labels)
-    n_pos = int(y.sum())
-    if n_pos == 0:
-        raise DataError("undefined metric: pr_auc needs at least one positive")
-    order = np.argsort(-s, kind="stable")
-    s_desc = s[order]
-    y_desc = y[order]
-    group_ends = np.concatenate([np.flatnonzero(np.diff(s_desc)) + 1, [s.size]])
-    tp = np.cumsum(y_desc)[group_ends - 1]
-    predicted = group_ends
-    precision = tp / predicted
-    recall_step = np.diff(np.concatenate([[0], tp])) / n_pos
-    return float(np.sum(precision * recall_step))
-
-
 def _confusion_curve(s: np.ndarray, y: np.ndarray):
     """Per distinct threshold (ascending): tp, fp counts under score >= t."""
     order = np.argsort(s, kind="stable")
@@ -97,41 +49,59 @@ def _confusion_curve(s: np.ndarray, y: np.ndarray):
     return thresholds, tp.astype(np.int64), fp.astype(np.int64), n_pos, n - n_pos
 
 
+def roc_auc(scores, labels) -> float:
+    """Probability a random positive outscores a random negative, ties at 1/2.
+
+    Read off the tie groups of the confusion curve in O(n log n); exact
+    integer pair counts feed one final float division.
+    """
+    _, tp, fp, n_pos, n_neg = _confusion_curve(*_as_arrays(scores, labels))
+    if n_pos == 0 or n_neg == 0:
+        raise DataError("undefined metric: roc_auc needs both classes present")
+    # per group: positives strictly above it, and its own negatives; the int64
+    # dot products are exact, as each is at most n_pos * n_neg
+    above = np.append(tp[1:], 0)
+    group_neg = fp - np.append(fp[1:], 0)
+    wins = int(group_neg @ above)
+    ties = int(group_neg @ (tp - above))
+    return float(2 * wins + ties) / float(2 * n_pos * n_neg)
+
+
+def pr_auc(scores, labels) -> float:
+    """Average precision: step-wise area, no interpolation, tie groups merged."""
+    _, tp, fp, n_pos, _ = _confusion_curve(*_as_arrays(scores, labels))
+    if n_pos == 0:
+        raise DataError("undefined metric: pr_auc needs at least one positive")
+    tp, predicted = tp[::-1], (tp + fp)[::-1]  # descending thresholds
+    return float(np.sum(tp / predicted * (np.diff(tp, prepend=0) / n_pos)))
+
+
 def gmean_operating_point(scores, labels) -> OperatingPoint:
     """Threshold among the observed scores maximizing sqrt(sens * spec).
 
     Ties resolve to the lowest threshold.
     """
-    s, y = _as_arrays(scores, labels)
-    n_pos = int(y.sum())
-    n_neg = y.size - n_pos
+    thresholds, tp, fp, n_pos, n_neg = _confusion_curve(*_as_arrays(scores, labels))
     if n_pos == 0 or n_neg == 0:
         raise DataError("undefined operating point: both classes required")
-    thresholds, tp, fp, n_pos, n_neg = _confusion_curve(s, y)
-    best = None
-    for i in range(thresholds.size):  # ascending => keeps lowest on ties
-        sens = tp[i] / n_pos
-        spec = (n_neg - fp[i]) / n_neg
-        product = sens * spec
-        if best is None or product > best[0]:
-            best = (product, float(thresholds[i]), float(sens), float(spec))
-    assert best is not None
-    return OperatingPoint(best[1], best[2], best[3])
+    sens = tp / n_pos
+    spec = (n_neg - fp) / n_neg
+    i = int(np.argmax(sens * spec))  # first maximum: the lowest threshold
+    return OperatingPoint(float(thresholds[i]), float(sens[i]), float(spec[i]))
 
 
 def threshold_at_sensitivity(scores, labels, target: float) -> OperatingPoint:
     """Highest observed threshold whose sensitivity reaches the target."""
-    s, y = _as_arrays(scores, labels)
-    if int(y.sum()) == 0:
+    thresholds, tp, fp, n_pos, n_neg = _confusion_curve(*_as_arrays(scores, labels))
+    if n_pos == 0:
         raise DataError("undefined operating point: no positives present")
-    thresholds, tp, fp, n_pos, n_neg = _confusion_curve(s, y)
-    for i in range(thresholds.size - 1, -1, -1):  # descending thresholds
-        sens = tp[i] / n_pos
-        if sens >= target:
-            spec = (n_neg - fp[i]) / n_neg if n_neg else float("nan")
-            return OperatingPoint(float(thresholds[i]), float(sens), float(spec))
-    # unreachable: the minimum score classifies everything positive
-    raise AssertionError("sensitivity target unreachable")
+    sens = tp / n_pos
+    reached = np.flatnonzero(sens >= target)
+    if reached.size == 0:  # a target above 1: the lowest threshold has sensitivity 1
+        raise AssertionError("sensitivity target unreachable")
+    i = reached[-1]
+    spec = (n_neg - fp[i]) / n_neg if n_neg else float("nan")
+    return OperatingPoint(float(thresholds[i]), float(sens[i]), float(spec))
 
 
 def prevalence_table(labels_by_task: Mapping[str, np.ndarray]) -> dict[str, list[float]]:
@@ -149,16 +119,6 @@ def prevalence_table(labels_by_task: Mapping[str, np.ndarray]) -> dict[str, list
             continue
         out[task] = [float(np.mean(c <= i)) for i in range(n_windows)]
     return out
-
-
-@dataclass(frozen=True)
-class ImpactTrigger:
-    """One scored test trigger for the dialysis task at the longest horizon."""
-
-    beneficiary_id: str
-    trigger_date: date
-    score: float
-    event_within_horizon: bool
 
 
 @dataclass(frozen=True)
@@ -183,29 +143,27 @@ def access_before_onset(
 
 
 def impact_analysis(
-    triggers: Sequence[ImpactTrigger],
+    beneficiary_ids: Sequence[str],
+    scores,
+    positives,
     had_access: Mapping[str, bool],
     targets: Iterable[float],
 ) -> list[ImpactResult]:
     """Share of flagged dialysis-onset beneficiaries with no prior access work.
 
-    For each target sensitivity, a threshold is chosen on the per-trigger
-    scored set; a beneficiary counts once, at the earliest trigger that is
-    both truly positive and flagged, and contributes by whether any
-    access-creation code predates the dialysis onset.
+    One entry per scored test trigger in the three arrays. For each target
+    sensitivity, a threshold is chosen on the per-trigger scored set; a
+    beneficiary counts once if any of its truly positive triggers is flagged,
+    and contributes by whether any access-creation code predates the
+    dialysis onset.
     """
-    scores = np.asarray([t.score for t in triggers])
-    labels = np.asarray([1 if t.event_within_horizon else 0 for t in triggers])
+    scores = np.asarray(scores, dtype=np.float64)
+    positives = np.asarray(positives, dtype=bool)
     results = []
     for target in targets:
-        op = threshold_at_sensitivity(scores, labels, target)
-        identified: dict[str, date] = {}
-        for trig in triggers:
-            if not trig.event_within_horizon or trig.score < op.threshold:
-                continue
-            prev = identified.get(trig.beneficiary_id)
-            if prev is None or trig.trigger_date < prev:
-                identified[trig.beneficiary_id] = trig.trigger_date
+        op = threshold_at_sensitivity(scores, positives, target)
+        flagged = np.flatnonzero(positives & (scores >= op.threshold))
+        identified = dict.fromkeys(beneficiary_ids[i] for i in flagged)
         if not identified:
             raise DataError("impact analysis: no flagged true positives")
         missing = [bid for bid in identified if bid not in had_access]

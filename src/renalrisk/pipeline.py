@@ -23,6 +23,7 @@ import time
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, replace
 from datetime import date
+from numbers import Integral
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -34,7 +35,7 @@ from . import features as feat_mod
 from . import model as model_mod
 from . import synth as synth_mod
 from . import triggers as trig_mod
-from .errors import ConfigError, DataError, ParseError, naming_file
+from .errors import ConfigError, DataError, ParseError, is_number, naming_file
 from .triggers import TASKS
 
 
@@ -46,7 +47,7 @@ class PipelineConfig:
     claims_path: Path | None
     dataset_range: tuple[date, date]
     trigger_range: tuple[date, date]
-    codesets_path: Path | None
+    codesets: claims_mod.CodeSetLibrary
     split_ratios: tuple[float, float, float]
     split_seed: int
     min_count: int
@@ -55,9 +56,6 @@ class PipelineConfig:
     grid: tuple[model_mod.HyperParams, ...] | None
     target_sensitivities: tuple[float, ...]
     workers: int = 1
-
-    def library(self) -> claims_mod.CodeSetLibrary:
-        return claims_mod.load_codeset_library(self.codesets_path)
 
 
 def _parse_date_pair(raw, what: str) -> tuple[date, date]:
@@ -75,10 +73,9 @@ def _object(raw, what: str) -> dict:
 
 
 def _integer(raw, what: str) -> int:
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
+    if not is_number(raw, Integral):
         raise ConfigError(f"{what} must be an integer, got {raw!r}")
+    return raw
 
 
 def _hp_from_dict(raw: dict, default_seed: int) -> model_mod.HyperParams:
@@ -126,9 +123,13 @@ def load_pipeline_config(
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     if "workdir" not in raw:
         raise ConfigError("config requires workdir")
+    if not isinstance(raw["workdir"], str):
+        raise ConfigError(f"workdir must be a path string, got {raw['workdir']!r}")
     if "seed" not in raw:
         raise ConfigError("config requires a top-level seed")
     seed = _integer(raw["seed"], "seed") if seed_override is None else seed_override
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
 
     synth_cfg = None
     claims_path = None
@@ -152,6 +153,7 @@ def load_pipeline_config(
     trigger_range = _parse_date_pair(raw["trigger_range"], "trigger_range")
     if trigger_range[0] > trigger_range[1]:
         raise ConfigError("trigger_range start must not follow end")
+    trig_mod.check_trigger_buffer(trigger_range, dataset_range[1])
 
     split_raw = _object(raw.get("split", {}), "split")
     ratios = split_raw.get("ratios", (0.8, 0.1, 0.1))
@@ -166,10 +168,14 @@ def load_pipeline_config(
         raise ConfigError("features.min_count must be >= 1")
 
     train_raw = _object(raw.get("train", {}), "train")
-    tasks = tuple(train_raw.get("tasks", TASKS))
+    tasks = train_raw.get("tasks", TASKS)
+    if not isinstance(tasks, (list, tuple)) or not tasks:
+        raise ConfigError(f"train.tasks must be a non-empty list, got {tasks!r}")
     for task in tasks:
         if task not in TASKS:
             raise ConfigError(f"unknown task {task!r} (expected subset of {TASKS})")
+    if len(set(tasks)) < len(tasks):
+        raise ConfigError(f"train.tasks names a task twice: {tasks!r}")
     hp = None
     grid = None
     hp_seed = seed + 2 if seed_override is None else seed_override + 2
@@ -193,6 +199,8 @@ def load_pipeline_config(
             raise ConfigError(f"target sensitivity {t} outside (0, 1]")
 
     codesets = raw.get("codesets")
+    if codesets is not None and not isinstance(codesets, str):
+        raise ConfigError(f"codesets must be a path string, got {codesets!r}")
     return PipelineConfig(
         workdir=Path(raw["workdir"]),
         seed=seed,
@@ -200,11 +208,11 @@ def load_pipeline_config(
         claims_path=claims_path,
         dataset_range=dataset_range,
         trigger_range=trigger_range,
-        codesets_path=Path(codesets) if codesets else None,
+        codesets=claims_mod.load_codeset_library(codesets or None),
         split_ratios=tuple(ratios),  # type: ignore[arg-type]
         split_seed=split_seed,
         min_count=min_count,
-        tasks=tasks,
+        tasks=tuple(tasks),
         hyperparams=hp,
         grid=grid,
         target_sensitivities=targets,
@@ -343,9 +351,8 @@ def _synth_subset(cfg: PipelineConfig) -> dict:
 
 
 def _codesets_blob(cfg: PipelineConfig) -> dict:
-    lib = cfg.library()
     return {
-        name: sorted((s.value, c) for s, c in getattr(lib, name).codes)
+        name: sorted((s.value, c) for s, c in getattr(cfg.codesets, name).codes)
         for name in ("ckd", "dialysis", "transplant", "access_creation")
     }
 
@@ -528,13 +535,12 @@ def _run_synth(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -> No
 
 
 def _run_triggers(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -> None:
-    library = cfg.library()
     mask_counts = np.zeros(trig_mod.N_REASON_MASKS, dtype=np.int64)
 
     def rows():
         for timeline in claims_mod.iter_timelines(paths["claims"]):
             block = trig_mod.enumerate_triggers(
-                timeline, cfg.trigger_range, library, cfg.dataset_range[1]
+                timeline, cfg.trigger_range, cfg.codesets, cfg.dataset_range[1]
             )
             mask_counts[:] += np.bincount(block.reason_masks, minlength=trig_mod.N_REASON_MASKS)
             if len(block):
@@ -750,25 +756,21 @@ def _run_evaluate(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) ->
     if dialysis_scores is not None and len(test_ids):
         last_window = len(trig_mod.HORIZON_DAYS) - 1
         positives = classes_by_task["dialysis"] <= last_window
-        needed = {bid for (bid, _), pos in zip(test_ids, positives) if pos}
-        library = cfg.library()
+        bids = [bid for bid, _ in test_ids]
+        needed = {bid for bid, pos in zip(bids, positives) if pos}
         had_access: dict[str, bool] = {}
         if needed:
             for timeline in claims_mod.iter_timelines(paths["claims"]):
                 bid = timeline.beneficiary.id
                 if bid in needed:
                     flag = eval_mod.access_before_onset(
-                        timeline, library.dialysis, library.access_creation
+                        timeline, cfg.codesets.dialysis, cfg.codesets.access_creation
                     )
                     had_access[bid] = bool(flag)
-        triggers = [
-            eval_mod.ImpactTrigger(
-                bid, date.fromisoformat(tdate), float(score), bool(pos)
-            )
-            for (bid, tdate), score, pos in zip(test_ids, dialysis_scores, positives)
-        ]
         try:
-            impact = eval_mod.impact_analysis(triggers, had_access, cfg.target_sensitivities)
+            impact = eval_mod.impact_analysis(
+                bids, dialysis_scores, positives, had_access, cfg.target_sensitivities
+            )
             impact_rows = [
                 {
                     "target_sensitivity": r.target_sensitivity,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -158,6 +158,16 @@ class TriggerBlock:
         return out
 
 
+def check_trigger_buffer(trigger_range: tuple[date, date], dataset_end: date) -> None:
+    """Refuse a trigger range whose last month leaves under the longest horizon of data."""
+    end = trigger_range[1]
+    if end.toordinal() + HORIZON_DAYS[-1] > dataset_end.toordinal():
+        raise ConfigError(
+            f"trigger range end {end} needs {HORIZON_DAYS[-1]} days of buffer before "
+            f"dataset end {dataset_end}"
+        )
+
+
 def enumerate_triggers(
     timeline: ClaimTimeline,
     trigger_range: tuple[date, date],
@@ -169,13 +179,8 @@ def enumerate_triggers(
     The last trigger must leave a full censoring buffer before dataset_end so
     every label is fully observed. All months are screened at once.
     """
+    check_trigger_buffer(trigger_range, dataset_end)
     start, end = trigger_range
-    max_horizon = HORIZON_DAYS[-1]
-    if end + timedelta(days=max_horizon) > dataset_end:
-        raise ConfigError(
-            f"trigger range end {end} needs {max_horizon} days of buffer before "
-            f"dataset end {dataset_end}"
-        )
     grid = _month_grid(start, end)
     ckd, dialysis, transplant = first_occurrences(
         timeline, (library.ckd, library.dialysis, library.transplant)

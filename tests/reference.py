@@ -38,6 +38,10 @@ equivalence tests compare the two:
   zero column) and a per-nonzero row-id gather for the gradient, against the
   in-place ``model._batch_logits`` and ``model.loss_and_grad``; the two must
   agree bit for bit.
+- ``reference_roc_auc``, ``reference_pr_auc``, ``reference_gmean_operating_point``
+  and ``reference_threshold_at_sensitivity`` sort and walk the tie groups or
+  thresholds one at a time, against the array forms in ``evaluation`` that
+  read the whole confusion curve at once; the two must agree by ``repr``.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from renalrisk.claims import (
     _parse_date,
 )
 from renalrisk.errors import DataError, ParseError
+from renalrisk.evaluation import OperatingPoint, _as_arrays, _confusion_curve
 from renalrisk.features import (
     BUCKET_EDGES,
     N_BUCKETS,
@@ -590,3 +595,83 @@ def reference_loss_and_grad(
         for c in range(weights.shape[0]):
             grad_w[c] = np.bincount(flat, weights=g[c, expand], minlength=weights.shape[1])
     return ce, grad_w, grad_b
+
+
+# -- ranking metrics and operating points -------------------------------------------
+
+
+def reference_roc_auc(scores, labels) -> float:
+    """Pair counts summed one sorted tie group at a time."""
+    s, y = _as_arrays(scores, labels)
+    n_pos = int(y.sum())
+    n_neg = y.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise DataError("undefined metric: roc_auc needs both classes present")
+    order = np.argsort(s, kind="stable")
+    s_sorted = s[order]
+    y_sorted = y[order]
+    boundaries = np.flatnonzero(np.diff(s_sorted)) + 1
+    starts = np.concatenate([[0], boundaries])
+    ends = np.concatenate([boundaries, [s.size]])
+    pos_cum = np.concatenate([[0], np.cumsum(y_sorted)])
+    wins = 0
+    ties = 0
+    for a, b in zip(starts, ends):
+        group_pos = int(pos_cum[b] - pos_cum[a])
+        group_neg = int(b - a) - group_pos
+        pos_below = int(pos_cum[a])
+        pos_above = n_pos - pos_below - group_pos
+        wins += group_neg * pos_above
+        ties += group_neg * group_pos
+    return float(2 * wins + ties) / float(2 * n_pos * n_neg)
+
+
+def reference_pr_auc(scores, labels) -> float:
+    """Average precision from its own descending sort and tie groups."""
+    s, y = _as_arrays(scores, labels)
+    n_pos = int(y.sum())
+    if n_pos == 0:
+        raise DataError("undefined metric: pr_auc needs at least one positive")
+    order = np.argsort(-s, kind="stable")
+    s_desc = s[order]
+    y_desc = y[order]
+    group_ends = np.concatenate([np.flatnonzero(np.diff(s_desc)) + 1, [s.size]])
+    tp = np.cumsum(y_desc)[group_ends - 1]
+    predicted = group_ends
+    precision = tp / predicted
+    recall_step = np.diff(np.concatenate([[0], tp])) / n_pos
+    return float(np.sum(precision * recall_step))
+
+
+def reference_gmean_operating_point(scores, labels) -> OperatingPoint:
+    """Walk the confusion curve upward, keeping the first strict maximum of sens * spec."""
+    s, y = _as_arrays(scores, labels)
+    n_pos = int(y.sum())
+    n_neg = y.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise DataError("undefined operating point: both classes required")
+    thresholds, tp, fp, n_pos, n_neg = _confusion_curve(s, y)
+    best = None
+    for i in range(thresholds.size):  # ascending => keeps lowest on ties
+        sens = tp[i] / n_pos
+        spec = (n_neg - fp[i]) / n_neg
+        product = sens * spec
+        if best is None or product > best[0]:
+            best = (product, float(thresholds[i]), float(sens), float(spec))
+    assert best is not None
+    return OperatingPoint(best[1], best[2], best[3])
+
+
+def reference_threshold_at_sensitivity(scores, labels, target: float) -> OperatingPoint:
+    """Walk the confusion curve downward to the first threshold reaching the target."""
+    s, y = _as_arrays(scores, labels)
+    if int(y.sum()) == 0:
+        raise DataError("undefined operating point: no positives present")
+    thresholds, tp, fp, n_pos, n_neg = _confusion_curve(s, y)
+    for i in range(thresholds.size - 1, -1, -1):  # descending thresholds
+        sens = tp[i] / n_pos
+        if sens >= target:
+            spec = (n_neg - fp[i]) / n_neg if n_neg else float("nan")
+            return OperatingPoint(float(thresholds[i]), float(sens), float(spec))
+    # unreachable: the minimum score classifies everything positive
+    raise AssertionError("sensitivity target unreachable")

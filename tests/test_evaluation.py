@@ -1,13 +1,16 @@
-from datetime import date
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import (
+    reference_gmean_operating_point,
+    reference_pr_auc,
+    reference_roc_auc,
+    reference_threshold_at_sensitivity,
+)
 
 from renalrisk.errors import DataError
 from renalrisk.evaluation import (
-    ImpactTrigger,
     gmean_operating_point,
     impact_analysis,
     pr_auc,
@@ -203,6 +206,72 @@ def test_operating_point_reproducible_from_threshold():
     assert op.specificity == pytest.approx(spec)
 
 
+# -- array forms against the loop oracles -----------------------------------------------
+
+_SCORE_MODES = ("distinct", "heavy ties", "all tied", "near 1e-300")
+_LABEL_MODES = ("random", "one positive", "one negative", "one class")
+
+
+@st.composite
+def _scored_sets(draw):
+    n = draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    score_mode = draw(st.sampled_from(_SCORE_MODES))
+    if score_mode == "distinct":
+        scores = rng.random(n)
+    elif score_mode == "heavy ties":
+        scores = rng.integers(0, 4, size=n) / 3.0
+    elif score_mode == "all tied":
+        scores = np.full(n, 0.25)
+    else:
+        scores = rng.integers(1, 6, size=n) * 1e-300 + rng.random(n) * 1e-301
+    label_mode = draw(st.sampled_from(_LABEL_MODES))
+    if label_mode == "random":
+        labels = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(np.int64)
+    elif label_mode == "one class":
+        labels = np.full(n, int(rng.integers(0, 2)), dtype=np.int64)
+    else:
+        majority = 0 if label_mode == "one positive" else 1
+        labels = np.full(n, majority, dtype=np.int64)
+        labels[int(rng.integers(0, n))] = 1 - majority
+    return scores, labels
+
+
+def _outcome(fn, *args) -> str:
+    """The repr of fn's result, or the name of the DataError it raises."""
+    try:
+        return repr(fn(*args))
+    except DataError as exc:
+        return type(exc).__name__
+
+
+_ORACLES = (
+    (roc_auc, reference_roc_auc),
+    (pr_auc, reference_pr_auc),
+    (gmean_operating_point, reference_gmean_operating_point),
+)
+
+
+@given(_scored_sets(), st.floats(0.01, 1.0))
+@settings(max_examples=300, deadline=None)
+def test_curve_metrics_equal_the_loop_oracles(scored, target):
+    scores, labels = scored
+    for metric, oracle in _ORACLES:
+        assert _outcome(metric, scores, labels) == _outcome(oracle, scores, labels)
+    for t in (target, 0.1, 0.6, 0.8, 1.0):
+        assert _outcome(threshold_at_sensitivity, scores, labels, t) == _outcome(
+            reference_threshold_at_sensitivity, scores, labels, t
+        )
+
+
+def test_pr_auc_equals_the_oracle_past_the_pairwise_sum_block():
+    rng = np.random.default_rng(11)
+    for n, decimals in ((1_000, 2), (5_000, 6), (60_000, 4), (60_000, 12)):
+        scores = np.round(rng.random(n), decimals)
+        labels = (rng.random(n) < 0.1).astype(np.int64)
+        assert repr(pr_auc(scores, labels)) == repr(reference_pr_auc(scores, labels))
+
+
 # -- prevalence ---------------------------------------------------------------------
 
 
@@ -224,41 +293,54 @@ def test_prevalence_zero_hazard_cohort_all_zero():
 
 
 def _impact_fixture(had_access_flags):
-    triggers = []
+    """Per beneficiary two truly positive triggers at 0.9 and 0.95, then 20 negatives."""
+    ids, scores, positives = [], [], []
     had_access = {}
     for i, flag in enumerate(had_access_flags):
         bid = f"p{i}"
         had_access[bid] = flag
-        triggers.append(ImpactTrigger(bid, date(2014, 1, 1), 0.9, True))
-        triggers.append(ImpactTrigger(bid, date(2014, 2, 1), 0.95, True))
+        ids += [bid, bid]
+        scores += [0.9, 0.95]
+        positives += [True, True]
     # negatives give the threshold scan something to cut
     for i in range(20):
-        triggers.append(ImpactTrigger(f"n{i}", date(2014, 1, 1), i / 40.0, False))
-    return triggers, had_access
+        ids.append(f"n{i}")
+        scores.append(i / 40.0)
+        positives.append(False)
+    return ids, np.asarray(scores), np.asarray(positives), had_access
 
 
 def test_impact_all_have_prior_access_gives_zero_pct():
-    triggers, had_access = _impact_fixture([True] * 8)
-    results = impact_analysis(triggers, had_access, [0.8])
+    results = impact_analysis(*_impact_fixture([True] * 8), [0.8])
     assert results[0].pct_without_prior_access == 0.0
     assert results[0].n_identified == 8
 
 
 def test_impact_none_have_prior_access_gives_hundred_pct():
-    triggers, had_access = _impact_fixture([False] * 8)
-    results = impact_analysis(triggers, had_access, [0.8])
+    results = impact_analysis(*_impact_fixture([False] * 8), [0.8])
     assert results[0].pct_without_prior_access == 100.0
 
 
 def test_impact_counts_each_beneficiary_once():
-    triggers, had_access = _impact_fixture([True, False, False, True])
-    results = impact_analysis(triggers, had_access, [0.6, 0.8])
+    fixture = _impact_fixture([True, False, False, True])
+    results = impact_analysis(*fixture, [0.6, 0.8])
     for res in results:
         assert res.n_identified == 4
         assert res.pct_without_prior_access == pytest.approx(50.0)
+    # one more beneficiary: its first positive trigger scores under every
+    # threshold, its later one over it, so it counts once through the later one
+    ids, scores, positives, had_access = fixture
+    ids = ids + ["late", "late"]
+    scores = np.append(scores, [0.1, 0.99])
+    positives = np.append(positives, [True, True])
+    had_access = had_access | {"late": False}
+    results = impact_analysis(ids, scores, positives, had_access, [0.6, 0.8])
+    for res in results:
+        assert res.operating_point.threshold == 0.9
+        assert res.n_identified == 5
+        assert res.pct_without_prior_access == pytest.approx(60.0)
 
 
 def test_impact_empty_true_positive_set_errors():
-    triggers = [ImpactTrigger("n1", date(2014, 1, 1), 0.2, False)]
     with pytest.raises(DataError):
-        impact_analysis(triggers, {}, [0.8])
+        impact_analysis(["n1"], np.asarray([0.2]), np.asarray([False]), {}, [0.8])

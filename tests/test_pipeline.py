@@ -413,10 +413,22 @@ _WRONG_TYPES = [
     ("features", 5),
     ("train.hyperparams", 5),
     ("train.grid", 5),
+    ("seed", -1),
+    ("seed", True),
+    ("seed", 1.5),
+    ("features.min_count", 2.7),
+    ("workdir", 5),
+    ("train.tasks", []),
+    ("train.tasks", ["rrt", "rrt"]),
+]
+# a field's first case is named by the field alone, a later one also by its value
+_WRONG_TYPE_IDS = [
+    field if [f for f, _ in _WRONG_TYPES].index(field) == i else f"{field}={json.dumps(value)}"
+    for i, (field, value) in enumerate(_WRONG_TYPES)
 ]
 
 
-@pytest.mark.parametrize("field, value", _WRONG_TYPES, ids=[f for f, _ in _WRONG_TYPES])
+@pytest.mark.parametrize("field, value", _WRONG_TYPES, ids=_WRONG_TYPE_IDS)
 def test_wrong_typed_config_value_is_a_config_error(tmp_path, capsys, field, value):
     raw = json.loads(write_config(tmp_path).read_text())
     *sections, key = field.split(".")
@@ -429,7 +441,33 @@ def test_wrong_typed_config_value_is_a_config_error(tmp_path, capsys, field, val
     assert main(["synth", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
+_REFUSED_AT_LOAD = {
+    "short_trigger_buffer": ({"trigger_range": ["2012-01-01", "2016-06-01"]}, "buffer"),
+    "trigger_buffer_past_year_9999": ({"trigger_range": ["9999-01-01", "9999-06-01"]}, "buffer"),
+    "missing_codesets_file": ({"codesets": "/nonexistent.json"}, "codesets file not found"),
+}
+
+
+@pytest.mark.parametrize("overrides, message", _REFUSED_AT_LOAD.values(), ids=_REFUSED_AT_LOAD)
+def test_config_a_stage_would_refuse_is_refused_before_synth(tmp_path, capsys, overrides, message):
+    path = write_config(tmp_path, **overrides)
+    assert main(["reproduce", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
+def test_negative_seed_override_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert main(["synth", "--config", str(path), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err
+    assert len(err.splitlines()) == 1
     assert not (tmp_path / "run").exists()
 
 

@@ -52,6 +52,9 @@ def test_48_monthly_triggers_in_study_range(eligible_timeline):
 def test_buffer_precondition_enforced(eligible_timeline):
     with pytest.raises(ConfigError, match="buffer"):
         enumerate_triggers(eligible_timeline, (date(2012, 1, 1), date(2016, 2, 1)), LIB, DATASET_END)
+    # an end within 365 days of date.max is compared as day ordinals, without overflow
+    with pytest.raises(ConfigError, match="buffer"):
+        enumerate_triggers(eligible_timeline, (date(9999, 1, 1), date(9999, 6, 1)), LIB, DATASET_END)
 
 
 def test_no_claims_beneficiary_gets_three_reasons():
