@@ -104,20 +104,20 @@ def threshold_at_sensitivity(scores, labels, target: float) -> OperatingPoint:
     return OperatingPoint(float(thresholds[i]), float(sens[i]), float(spec))
 
 
-def prevalence_table(labels_by_task: Mapping[str, np.ndarray]) -> dict[str, list[float]]:
+def prevalence_table(class_counts: Mapping[str, Sequence[int]]) -> dict[str, list[float]]:
     """Per task, the fraction of triggers positive at each overlapping horizon.
 
-    Input labels are disjoint class indices; horizon i is positive when the
-    class falls in windows 0..i.
+    ``class_counts[task][j]`` triggers fall in disjoint class j; horizon i is
+    positive when the class falls in windows 0..i. Each share is an integer
+    count over an integer total, one correctly rounded division, so it equals
+    the float64 mean of the 0/1 horizon labels bit for bit.
     """
     out = {}
     n_windows = len(HORIZON_DAYS)
-    for task, classes in labels_by_task.items():
-        c = np.asarray(classes, dtype=np.int64)
-        if c.size == 0:
-            out[task] = [0.0] * n_windows
-            continue
-        out[task] = [float(np.mean(c <= i)) for i in range(n_windows)]
+    for task, counts in class_counts.items():
+        n = int(np.sum(counts))
+        positive = np.cumsum(counts)[:n_windows].tolist()
+        out[task] = [k / n if n else 0.0 for k in positive]
     return out
 
 

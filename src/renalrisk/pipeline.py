@@ -194,6 +194,8 @@ def load_pipeline_config(
         raise ConfigError(
             f"evaluate.target_sensitivities must be a list of numbers, got {targets_raw!r}"
         )
+    if not targets:
+        raise ConfigError("evaluate.target_sensitivities must not be empty")
     for t in targets:
         if not (0 < t <= 1):
             raise ConfigError(f"target sensitivity {t} outside (0, 1]")
@@ -230,6 +232,7 @@ def artifact_paths(cfg: PipelineConfig) -> dict[str, Path]:
         "claims": cfg.claims_path if cfg.claims_path else w / "claims.tsv",
         "ground_truth": w / "ground_truth.tsv",
         "triggers": w / "triggers.tsv",
+        "trigger_summary": w / "trigger_summary.tsv",
         "split": w / "split.tsv",
         "vocab": w / "vocab.tsv",
         "features_train": w / "features_train.tsv",
@@ -411,7 +414,7 @@ STAGES: dict[str, StageSpec] = {
         1,
         _triggers_subset,
         lambda cfg: {"claims": "synth"},
-        lambda cfg: ["triggers"],
+        lambda cfg: ["triggers", "trigger_summary"],
     ),
     "featurize": StageSpec(
         "featurize",
@@ -536,17 +539,34 @@ def _run_synth(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -> No
 
 def _run_triggers(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -> None:
     mask_counts = np.zeros(trig_mod.N_REASON_MASKS, dtype=np.int64)
+    class_counts = np.zeros((len(TASKS), trig_mod.N_CLASSES), dtype=np.int64)
+    had_access: dict[str, bool] = {}
+    dialysis, last_window = TASKS.index("dialysis"), len(trig_mod.HORIZON_DAYS) - 1
 
     def rows():
         for timeline in claims_mod.iter_timelines(paths["claims"]):
             block = trig_mod.enumerate_triggers(
                 timeline, cfg.trigger_range, cfg.codesets, cfg.dataset_range[1]
             )
-            mask_counts[:] += np.bincount(block.reason_masks, minlength=trig_mod.N_REASON_MASKS)
+            counts = np.bincount(block.reason_masks, minlength=trig_mod.N_REASON_MASKS)
+            mask_counts[:] += counts
+            if counts[0]:
+                classes = block.classes[:, block.reason_masks == 0]
+                for task_counts, task_classes in zip(class_counts, classes):
+                    task_counts += np.bincount(task_classes, minlength=trig_mod.N_CLASSES)
+                # only these beneficiaries can be dialysis positives in evaluate
+                if (classes[dialysis] <= last_window).any():
+                    had_access[block.beneficiary_id] = bool(
+                        eval_mod.access_before_onset(
+                            timeline, cfg.codesets.dialysis, cfg.codesets.access_creation
+                        )
+                    )
             if len(block):
                 yield "\n".join(block.lines())
 
     write_text_artifact(paths["triggers"], lineage, rows())
+    summary = trig_mod.TriggerSummary(class_counts, mask_counts, had_access)
+    write_text_artifact(paths["trigger_summary"], lineage, summary.lines())
     reasons = trig_mod.reason_counts(mask_counts)
     print(
         f"triggers: {int(mask_counts.sum())} candidates, {int(mask_counts[0])} eligible; "
@@ -702,6 +722,7 @@ def read_predictions(path: Path) -> tuple[list[tuple[str, str]], np.ndarray, np.
     """Ids, window scores and horizon probabilities; a malformed row is a ParseError."""
     n_classes = trig_mod.N_CLASSES
     ids = []
+    line_nos = []
     s_rows = []
     p_rows = []
     with naming_file(path):
@@ -722,15 +743,21 @@ def read_predictions(path: Path) -> tuple[list[tuple[str, str]], np.ndarray, np.
                         f"window scores and {n_classes - 1} horizon probabilities)",
                     )
                 ids.append((bid, tdate))
-    return ids, np.asarray(s_rows), np.asarray(p_rows)
+                line_nos.append(line_no)
+        s, p = np.asarray(s_rows), np.asarray(p_rows)
+        finite = np.isfinite(s).all(axis=-1) & np.isfinite(p).all(axis=-1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ParseError(
+                line_nos[i], f"non-finite score or probability for {ids[i][0]} at {ids[i][1]}"
+            )
+    return ids, s, p
 
 
 def _run_evaluate(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -> None:
-    # prevalence over all eligible triggers
-    eligible = [np.empty((len(TASKS), 0), dtype=np.int64)]
-    for block in trig_mod.iter_trigger_rows(paths["triggers"]):
-        eligible.append(block.classes[:, block.reason_masks == 0])
-    prevalence = eval_mod.prevalence_table(dict(zip(TASKS, np.concatenate(eligible, axis=1))))
+    # the trigger table and the claims come in through their summary
+    summary = trig_mod.read_trigger_summary(paths["trigger_summary"])
+    prevalence = eval_mod.prevalence_table(dict(zip(TASKS, summary.class_counts)))
 
     test_rows = list(feat_mod.iter_feature_rows(paths["features_test"]))
     test_ids = [(bid, tdate) for bid, tdate, _, _ in test_rows]
@@ -752,38 +779,27 @@ def _run_evaluate(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) ->
         if task == "dialysis":
             dialysis_scores = p[:, -1]
 
-    impact_rows = None
-    if dialysis_scores is not None and len(test_ids):
-        last_window = len(trig_mod.HORIZON_DAYS) - 1
-        positives = classes_by_task["dialysis"] <= last_window
-        bids = [bid for bid, _ in test_ids]
-        needed = {bid for bid, pos in zip(bids, positives) if pos}
-        had_access: dict[str, bool] = {}
-        if needed:
-            for timeline in claims_mod.iter_timelines(paths["claims"]):
-                bid = timeline.beneficiary.id
-                if bid in needed:
-                    flag = eval_mod.access_before_onset(
-                        timeline, cfg.codesets.dialysis, cfg.codesets.access_creation
-                    )
-                    had_access[bid] = bool(flag)
-        try:
-            impact = eval_mod.impact_analysis(
-                bids, dialysis_scores, positives, had_access, cfg.target_sensitivities
-            )
-            impact_rows = [
-                {
-                    "target_sensitivity": r.target_sensitivity,
-                    "threshold": r.operating_point.threshold,
-                    "sensitivity": r.operating_point.sensitivity,
-                    "specificity": r.operating_point.specificity,
-                    "n_identified": r.n_identified,
-                    "pct_without_prior_access": r.pct_without_prior_access,
-                }
-                for r in impact
-            ]
-        except DataError:
-            impact_rows = None  # no dialysis positives in the test window
+    impact_rows = None  # also when no test trigger is a dialysis positive
+    positives = classes_by_task["dialysis"] <= len(trig_mod.HORIZON_DAYS) - 1
+    if dialysis_scores is not None and positives.any():
+        impact = eval_mod.impact_analysis(
+            [bid for bid, _ in test_ids],
+            dialysis_scores,
+            positives,
+            summary.had_access,
+            cfg.target_sensitivities,
+        )
+        impact_rows = [
+            {
+                "target_sensitivity": r.target_sensitivity,
+                "threshold": r.operating_point.threshold,
+                "sensitivity": r.operating_point.sensitivity,
+                "specificity": r.operating_point.specificity,
+                "n_identified": r.n_identified,
+                "pct_without_prior_access": r.pct_without_prior_access,
+            }
+            for r in impact
+        ]
 
     report = {
         "horizon_days": list(trig_mod.HORIZON_DAYS),

@@ -29,7 +29,7 @@ import numpy as np
 
 from .claims import NEVER, ClaimTimeline, CodeSetLibrary, _iter_lines, _parse_date
 from .claims import first_occurrences
-from .errors import ConfigError, ParseError, is_number, naming_file
+from .errors import ConfigError, DataError, ParseError, in_file, is_number, naming_file
 
 TASKS = ("rrt", "dialysis", "transplant")
 
@@ -326,3 +326,96 @@ def iter_trigger_rows(source) -> Iterator[TriggerBlock]:
             run.append((date_raw, tail_id))
         if run:
             yield block()
+
+
+# ---------------------------------------------------------------------------
+# Trigger summary IO
+#
+# What evaluate needs of the trigger table and the claims, written beside the
+# table by the triggers stage:
+#   access TAB beneficiary_id TAB had_access(0|1)
+#   masks TAB n_0,...,n_31
+#   eligible TAB task TAB n_0,...,n_5
+# One access row per beneficiary with an eligible trigger whose dialysis event
+# falls within the last horizon (1: an access-creation code precedes its first
+# dialysis code); then the candidates per reason mask (mask 0 is eligible);
+# then, per task, the eligible triggers per class. The count rows come last,
+# so a file cut short at a line end lacks one.
+
+
+@dataclass
+class TriggerSummary:
+    """The trigger summary: the counts and access flags of the rows above."""
+
+    class_counts: np.ndarray  # (len(TASKS), N_CLASSES) int64: eligible triggers per task and class
+    mask_counts: np.ndarray  # (N_REASON_MASKS,) int64: candidates per reason mask
+    had_access: dict[str, bool]
+
+    def lines(self) -> list[str]:
+        """The summary's rows, without their newlines."""
+        out = [f"access\t{bid}\t{int(flag)}" for bid, flag in self.had_access.items()]
+        out.append("masks\t" + ",".join(map(str, self.mask_counts.tolist())))
+        for task, counts in zip(TASKS, self.class_counts.tolist()):
+            out.append(f"eligible\t{task}\t" + ",".join(map(str, counts)))
+        return out
+
+
+def _summary_counts(raw: str, n: int, what: str, line_no: int) -> np.ndarray:
+    try:
+        counts = np.asarray([int(v) for v in raw.split(",")], dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise ParseError(line_no, f"bad {what} counts {raw!r} (expected integers)")
+    if counts.size != n:
+        raise ParseError(line_no, f"{counts.size} {what} counts, expected {n}")
+    if (counts < 0).any():
+        raise ParseError(line_no, f"negative {what} count in {raw!r}")
+    return counts
+
+
+def read_trigger_summary(path) -> TriggerSummary:
+    """Read a trigger summary back; a malformed, cut-short or inconsistent file is a DataError."""
+    class_counts: dict[str, np.ndarray] = {}
+    mask_counts = None
+    had_access: dict[str, bool] = {}
+    with naming_file(path), open(path, "r", encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.endswith("\n"):
+                raise ParseError(line_no, "last line has no newline (file cut short?)")
+            if not line.strip() or line.startswith("#"):
+                continue
+            kind, *fields = line.rstrip("\n").split("\t")
+            if kind == "access" and len(fields) == 2:
+                bid, flag = fields
+                if not bid:
+                    raise ParseError(line_no, "access row with empty beneficiary_id")
+                if flag not in ("0", "1"):
+                    raise ParseError(line_no, f"bad access flag {flag!r} (expected 0 or 1)")
+                if bid in had_access:
+                    raise ParseError(line_no, f"second access row for beneficiary {bid!r}")
+                had_access[bid] = flag == "1"
+            elif kind == "masks" and len(fields) == 1:
+                if mask_counts is not None:
+                    raise ParseError(line_no, "second masks row")
+                mask_counts = _summary_counts(fields[0], N_REASON_MASKS, "reason mask", line_no)
+            elif kind == "eligible" and len(fields) == 2 and fields[0] in TASKS:
+                task, raw = fields
+                if task in class_counts:
+                    raise ParseError(line_no, f"second eligible row for task {task!r}")
+                class_counts[task] = _summary_counts(raw, N_CLASSES, "class", line_no)
+            else:
+                raise ParseError(line_no, f"bad trigger summary row: {line[:80]!r}")
+    missing = [task for task in TASKS if task not in class_counts]
+    if mask_counts is None or missing:
+        what = "masks row" if mask_counts is None else f"eligible row for task {missing[0]!r}"
+        raise DataError(in_file(path, f"no {what} (file cut short?)"))
+    for task, counts in class_counts.items():
+        if counts.sum() != mask_counts[0]:
+            raise DataError(
+                in_file(
+                    path,
+                    f"the {task} class counts sum to {counts.sum()}, but {mask_counts[0]} "
+                    "candidates are eligible",
+                )
+            )
+    stacked = np.stack([class_counts[task] for task in TASKS])
+    return TriggerSummary(stacked, mask_counts, had_access)

@@ -42,6 +42,10 @@ equivalence tests compare the two:
   and ``reference_threshold_at_sensitivity`` sort and walk the tie groups or
   thresholds one at a time, against the array forms in ``evaluation`` that
   read the whole confusion curve at once; the two must agree by ``repr``.
+- ``reference_prevalence_table`` averages the 0/1 horizon labels of every
+  eligible trigger, against ``evaluation.prevalence_table``, which divides
+  the cumulative class counts of the trigger summary; the two must agree by
+  ``repr``.
 """
 
 from __future__ import annotations
@@ -675,3 +679,15 @@ def reference_threshold_at_sensitivity(scores, labels, target: float) -> Operati
             return OperatingPoint(float(thresholds[i]), float(sens), float(spec))
     # unreachable: the minimum score classifies everything positive
     raise AssertionError("sensitivity target unreachable")
+
+
+def reference_prevalence_table(labels_by_task) -> dict[str, list[float]]:
+    """Per task, the mean over its triggers' class indices of ``class <= i`` per horizon i."""
+    out = {}
+    for task, classes in labels_by_task.items():
+        c = np.asarray(classes, dtype=np.int64)
+        if c.size == 0:
+            out[task] = [0.0] * len(HORIZON_DAYS)
+            continue
+        out[task] = [float(np.mean(c <= i)) for i in range(len(HORIZON_DAYS))]
+    return out

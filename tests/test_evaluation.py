@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from reference import (
     reference_gmean_operating_point,
     reference_pr_auc,
+    reference_prevalence_table,
     reference_roc_auc,
     reference_threshold_at_sensitivity,
 )
@@ -18,6 +19,7 @@ from renalrisk.evaluation import (
     roc_auc,
     threshold_at_sensitivity,
 )
+from renalrisk.triggers import N_CLASSES, TASKS
 
 # -- oracles -------------------------------------------------------------------
 
@@ -275,18 +277,43 @@ def test_pr_auc_equals_the_oracle_past_the_pairwise_sum_block():
 # -- prevalence ---------------------------------------------------------------------
 
 
+def _class_counts(classes):
+    return np.bincount(np.asarray(classes, dtype=np.int64), minlength=N_CLASSES)
+
+
 def test_prevalence_monotone_and_values():
-    classes = np.array([5, 5, 5, 5, 0, 1, 4, 5, 5, 5])
-    table = prevalence_table({"rrt": classes})
+    counts = _class_counts([5, 5, 5, 5, 0, 1, 4, 5, 5, 5])
+    table = prevalence_table({"rrt": counts})
     assert table["rrt"] == [0.1, 0.2, 0.2, 0.2, 0.3]
     assert all(a <= b for a, b in zip(table["rrt"], table["rrt"][1:]))
 
 
 def test_prevalence_zero_hazard_cohort_all_zero():
-    classes = np.full(100, 5)
-    table = prevalence_table({"rrt": classes, "dialysis": classes, "transplant": classes})
+    counts = _class_counts(np.full(100, 5))
+    table = prevalence_table({"rrt": counts, "dialysis": counts, "transplant": counts})
     for task in table:
         assert table[task] == [0.0] * 5
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.lists(st.integers(0, N_CLASSES - 1), max_size=300),
+            # a few long runs of one class, so shares land on awkward fractions
+            st.lists(
+                st.tuples(st.integers(0, N_CLASSES - 1), st.integers(1, 5000)), max_size=6
+            ).map(lambda runs: [c for c, k in runs for _ in range(k)]),
+        ),
+        min_size=len(TASKS),
+        max_size=len(TASKS),
+    )
+)
+def test_prevalence_from_counts_equals_the_label_mean_oracle(classes_per_task):
+    """Dividing cumulative class counts gives the mean of the 0/1 horizon labels, bit for bit."""
+    labels = dict(zip(TASKS, classes_per_task))
+    counts = {task: _class_counts(classes) for task, classes in labels.items()}
+    assert repr(prevalence_table(counts)) == repr(reference_prevalence_table(labels))
 
 
 # -- impact -------------------------------------------------------------------------

@@ -4,7 +4,8 @@ A tiny fixed-seed cohort runs all six stages in-process, and every
 artifact's sha256 must equal its recorded digest. The claims, trigger and
 feature digests date from before the claims and trigger readers were
 rewritten to intern tokens; the model, prediction and report digests from
-before the sparse gather was shared by training and prediction. A change
+before the sparse gather was shared by training and prediction; the trigger
+summary's from when the triggers stage began to write it. A change
 that alters any of these bytes on purpose (a new synth draw order, another
 float format or summation order) must say so and record new digests, e.g.
 with ``python scripts/artifact_digests.py WORKDIR``.
@@ -34,6 +35,7 @@ GOLDEN_SHA256 = {
     "train_log_rrt.tsv": "b532451a50e789093681bdb36f184387cc2deea9bb09ea5733965d7a71982e56",
     "train_log_transplant.tsv": "d643577ffa5e2daff00db5c594f85da1981ff2b7450eab303bcc1bd6310b463a",
     "triggers.tsv": "cb9c561a7ae90c36a8004927e0b2636cb36d55bbefc0d8a5db3a0c0a2ec53c54",
+    "trigger_summary.tsv": "dd036299bbbc293db4266b2ba8cdf3fc306b6f976a845f939de13a69fe3dc62f",
     "vocab.tsv": "ca5d00b7189c3e14f1d18bd9d183fce78f4da6b7e47c1afd48de5a43e302abc1",
 }
 

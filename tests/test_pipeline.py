@@ -6,12 +6,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import renalrisk
 import renalrisk.synth as synth_mod
+from renalrisk.claims import iter_timelines
 from renalrisk.cli import main
 from renalrisk.errors import ConfigError
+from renalrisk.evaluation import access_before_onset
 from renalrisk.pipeline import (
     STAGE_ORDER,
     STAGES,
@@ -19,6 +22,13 @@ from renalrisk.pipeline import (
     atomic_output,
     load_pipeline_config,
     read_artifact_lineage,
+)
+from renalrisk.triggers import (
+    N_CLASSES,
+    N_REASON_MASKS,
+    TASKS,
+    iter_trigger_rows,
+    read_trigger_summary,
 )
 
 
@@ -183,6 +193,141 @@ def test_reproduce_builds_no_trigger(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "run" / "report.json").exists()
 
 
+@pytest.fixture(scope="module")
+def dialysis_run(tmp_path_factory):
+    """A finished run of every task whose test split holds dialysis positives."""
+    tmp_path = tmp_path_factory.mktemp("dialysis")
+    cfg_path = write_config(
+        tmp_path,
+        synth={"n_beneficiaries": 300, "target_365d_prevalence": 0.2},
+        train={"tasks": list(TASKS), "hyperparams": {"max_epochs": 2, "batch_size": 256}},
+    )
+    assert main(["reproduce", "--config", str(cfg_path)]) == 0
+    assert json.loads((tmp_path / "run" / "report.json").read_text())["impact"]
+    return tmp_path, cfg_path
+
+
+def test_evaluate_reads_neither_the_claims_nor_the_trigger_table(
+    dialysis_run, tmp_path, monkeypatch, capsys
+):
+    """Evaluate takes the prevalence counts and the access flags from the trigger summary."""
+    workdir, cfg_path = _copy_of_run(dialysis_run, tmp_path)
+    report = (workdir / "report.json").read_bytes()
+    (workdir / "report.json").unlink()
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("evaluate read the claims or the trigger table")
+
+    monkeypatch.setattr("renalrisk.claims.iter_timelines", no_read)
+    monkeypatch.setattr("renalrisk.triggers.iter_trigger_rows", no_read)
+    assert main(["evaluate", "--config", str(cfg_path)]) == 0
+    assert (workdir / "report.json").read_bytes() == report
+
+
+def test_trigger_summary_matches_the_trigger_table_and_the_claims(dialysis_run):
+    """Evaluate's former paths as oracles: the eligible rows of the trigger table, and
+    access_before_onset on the claims timeline of each beneficiary with a dialysis positive."""
+    _, cfg_path = dialysis_run
+    cfg = load_pipeline_config(cfg_path)
+    paths = artifact_paths(cfg)
+    class_counts = np.zeros((len(TASKS), N_CLASSES), dtype=np.int64)
+    mask_counts = np.zeros(N_REASON_MASKS, dtype=np.int64)
+    positive_ids = set()
+    for block in iter_trigger_rows(paths["triggers"]):
+        mask_counts += np.bincount(block.reason_masks, minlength=N_REASON_MASKS)
+        classes = block.classes[:, block.reason_masks == 0]
+        for task_counts, task_classes in zip(class_counts, classes):
+            task_counts += np.bincount(task_classes, minlength=N_CLASSES)
+        if (classes[TASKS.index("dialysis")] < N_CLASSES - 1).any():
+            positive_ids.add(block.beneficiary_id)
+    had_access = {
+        tl.beneficiary.id: access_before_onset(
+            tl, cfg.codesets.dialysis, cfg.codesets.access_creation
+        )
+        for tl in iter_timelines(paths["claims"])
+        if tl.beneficiary.id in positive_ids
+    }
+    summary = read_trigger_summary(paths["trigger_summary"])
+    assert summary.class_counts.tolist() == class_counts.tolist()
+    assert summary.mask_counts.tolist() == mask_counts.tolist()
+    assert summary.had_access == had_access
+    assert set(had_access.values()) == {False, True}
+
+
+def test_a_work_directory_without_the_trigger_summary_reruns_triggers_once(
+    dialysis_run, tmp_path, capsys
+):
+    """A work directory made before the summary existed: triggers reruns, nothing else moves."""
+    workdir, cfg_path = _copy_of_run(dialysis_run, tmp_path)
+    before = {path.name: path.read_bytes() for path in workdir.iterdir()}
+    assert len(before) == 20
+    (workdir / "trigger_summary.tsv").unlink()
+    capsys.readouterr()
+    assert main(["reproduce", "--config", str(cfg_path)]) == 0
+    out = capsys.readouterr().out
+    assert "triggers: up to date" not in out and out.count("up to date") == 5
+    assert {path.name: path.read_bytes() for path in workdir.iterdir()} == before
+
+
+def _edit_row(lines, kind, edit):
+    """lines with the first row that starts with kind passed through edit (None deletes it)."""
+    at = next(i for i, line in enumerate(lines) if line.startswith(kind))
+    return lines[:at] + ([] if edit is None else [edit(lines[at])]) + lines[at + 1 :]
+
+
+_SUMMARY_FAULTS = {
+    "truncated": (lambda lines: lines[:-1] + [lines[-1][:-4]], "no newline (file cut short?)"),
+    "bad_integer": (
+        lambda lines: _edit_row(lines, "masks", lambda row: row.replace("\t", "\tx", 1)),
+        "bad reason mask counts 'x",
+    ),
+    "wrong_class_count": (
+        lambda lines: _edit_row(lines, "eligible\trrt", lambda row: row.rsplit(",", 1)[0] + "\n"),
+        "5 class counts, expected 6",
+    ),
+    "repeated_beneficiary": (
+        lambda lines: _edit_row(lines, "access", lambda row: row + row),
+        "second access row for beneficiary",
+    ),
+    "missing_task": (
+        lambda lines: _edit_row(lines, "eligible\tdialysis", None),
+        "no eligible row for task 'dialysis'",
+    ),
+    "edited_count": (
+        lambda lines: _edit_row(lines, "eligible\ttransplant", lambda row: row[:-1] + "0\n"),
+        "the transplant class counts sum to",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault, message", _SUMMARY_FAULTS.values(), ids=_SUMMARY_FAULTS)
+def test_evaluate_refuses_a_damaged_trigger_summary(dialysis_run, tmp_path, capsys, fault, message):
+    workdir, cfg_path = _copy_of_run(dialysis_run, tmp_path)
+    summary = workdir / "trigger_summary.tsv"
+    summary.write_text("".join(fault(summary.read_text().splitlines(keepends=True))))
+    (workdir / "report.json").unlink()  # the summary is not an input of evaluate's lineage
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {summary}: ") and message in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert not (workdir / "report.json").exists()
+
+
+def test_evaluate_refuses_a_missing_access_status(dialysis_run, tmp_path, capsys):
+    """Only a test split without dialysis positives has no impact analysis; a gap is an error."""
+    workdir, cfg_path = _copy_of_run(dialysis_run, tmp_path)
+    summary = workdir / "trigger_summary.tsv"
+    lines = summary.read_text().splitlines(keepends=True)
+    summary.write_text("".join(line for line in lines if not line.startswith("access\t")))
+    (workdir / "report.json").unlink()
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: impact analysis: no access status for beneficiaries")
+    assert not (workdir / "report.json").exists()
+
+
 def test_featurize_refuses_a_malformed_trigger_row(completed_run, tmp_path, capsys):
     workdir, cfg_path = _copy_of_run(completed_run, tmp_path)
     triggers = workdir / "triggers.tsv"
@@ -322,6 +467,21 @@ def test_predict_refuses_a_feature_index_outside_the_vocabulary(
     assert not list(workdir.glob("*.tmp"))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_evaluate_refuses_a_non_finite_prediction(completed_run, tmp_path, capsys, value):
+    workdir, cfg_path = _copy_of_run(completed_run, tmp_path)
+    predictions = workdir / "predictions_rrt.tsv"
+    row = next(line for line in predictions.read_text().splitlines() if not line.startswith("#"))
+    probabilities = row.split("\t")[3].split(",")
+    line_no = _set_field(predictions, 3, ",".join(probabilities[:-1] + [value]))  # 365 days
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {predictions}: line {line_no}: non-finite score or probability")
+    assert "Traceback" not in err
+    assert not (workdir / "report.json.tmp").exists()
+
+
 def test_evaluate_refuses_a_malformed_prediction_row(completed_run, tmp_path, capsys):
     workdir, cfg_path = _copy_of_run(completed_run, tmp_path)
     line_no = _set_field(workdir / "predictions_rrt.tsv", 2, "0.5,0.5")
@@ -449,6 +609,10 @@ _REFUSED_AT_LOAD = {
     "short_trigger_buffer": ({"trigger_range": ["2012-01-01", "2016-06-01"]}, "buffer"),
     "trigger_buffer_past_year_9999": ({"trigger_range": ["9999-01-01", "9999-06-01"]}, "buffer"),
     "missing_codesets_file": ({"codesets": "/nonexistent.json"}, "codesets file not found"),
+    "empty_target_sensitivities": (
+        {"evaluate": {"target_sensitivities": []}},
+        "target_sensitivities must not be empty",
+    ),
 }
 
 
