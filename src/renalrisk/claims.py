@@ -23,7 +23,6 @@ reads them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
@@ -32,7 +31,15 @@ from typing import IO, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParseError, naming_file
+from .config import (  # noqa: F401  (re-exports)
+    DEFAULT_CODESETS,
+    CodeSet,
+    CodeSetLibrary,
+    CodeSystem,
+    default_codeset_library,
+    load_codeset_library,
+)
+from .errors import DataError, ParseError, naming_file
 
 
 class Sex(str, Enum):
@@ -59,37 +66,6 @@ class ClaimType(str, Enum):
     CARRIER = "carrier"
 
 
-class CodeSystem(str, Enum):
-    """Coded feature streams carried by claim items.
-
-    Condition, procedure, encounter, and medication streams are kept separate
-    even when the underlying code space overlaps (e.g. a principal diagnosis
-    is a distinct stream from an ordinary diagnosis).
-    """
-
-    ICD9_DX = "ICD9_DX"
-    ICD10_DX = "ICD10_DX"
-    CCS_DX = "CCS_DX"
-    HCC = "HCC"
-    ICD9_PX = "ICD9_PX"
-    ICD10_PX = "ICD10_PX"
-    CCS_PX = "CCS_PX"
-    CPT = "CPT"
-    HCPCS = "HCPCS"
-    HCPCS_ALPHA = "HCPCS_ALPHA"
-    PERFORMER_ROLE = "PERFORMER_ROLE"
-    ENCOUNTER_CLASS = "ENCOUNTER_CLASS"
-    ADMIT_SOURCE = "ADMIT_SOURCE"
-    DISCHARGE_DISPOSITION = "DISCHARGE_DISPOSITION"
-    PRINCIPAL_DX_ICD9 = "PRINCIPAL_DX_ICD9"
-    PRINCIPAL_DX_ICD10 = "PRINCIPAL_DX_ICD10"
-    ENCOUNTER_CCS = "ENCOUNTER_CCS"
-    ENCOUNTER_HCC = "ENCOUNTER_HCC"
-    REVENUE_CODE = "REVENUE_CODE"
-    MED_HCPCS = "MED_HCPCS"
-    RXNORM = "RXNORM"
-
-
 @dataclass(frozen=True, slots=True)
 class Beneficiary:
     id: str
@@ -107,82 +83,6 @@ class Beneficiary:
             )
         if self.death_date is not None and self.death_date < self.enrollment_date:
             raise DataError(f"beneficiary {self.id}: death_date precedes enrollment_date")
-
-
-@dataclass(frozen=True)
-class CodeSet:
-    """Named set of (system, code) pairs, e.g. the dialysis procedure codes."""
-
-    name: str
-    codes: frozenset[tuple[CodeSystem, str]]
-
-
-# Shipped defaults. Clinical definitions are configuration, not code: any of
-# these can be overridden by a codesets JSON file (see load_codeset_library).
-DEFAULT_CODESETS: dict[str, dict[str, list[str]]] = {
-    "ckd": {
-        "ICD9_DX": ["5851", "5852", "5853", "5854", "5855", "5856", "5859"],
-        "ICD10_DX": ["N181", "N182", "N183", "N184", "N185", "N186", "N189"],
-    },
-    "dialysis": {
-        "CPT": [str(c) for c in range(90951, 90971)],
-    },
-    "transplant": {
-        "CPT": ["50360", "50365"],
-    },
-    "access_creation": {
-        "CPT": ["36818", "36819", "36820", "36821", "36825", "36830", "49324", "49421"],
-    },
-}
-
-
-@dataclass(frozen=True)
-class CodeSetLibrary:
-    """The four configured code sets; renal replacement (rrt) is dialysis or transplant."""
-
-    ckd: CodeSet
-    dialysis: CodeSet
-    transplant: CodeSet
-    access_creation: CodeSet
-
-
-def _codeset_from_mapping(name: str, mapping: dict[str, list[str]]) -> CodeSet:
-    pairs = set()
-    for system_name, codes in mapping.items():
-        try:
-            system = CodeSystem(system_name)
-        except ValueError:
-            raise ConfigError(f"codeset {name!r}: unknown code system {system_name!r}")
-        for code in codes:
-            if not code:
-                raise ConfigError(f"codeset {name!r}: empty code under {system_name}")
-            pairs.add((system, str(code)))
-    return CodeSet(name, frozenset(pairs))
-
-
-def default_codeset_library() -> CodeSetLibrary:
-    return _library_from_dict(DEFAULT_CODESETS)
-
-
-def _library_from_dict(raw: dict) -> CodeSetLibrary:
-    required = ("ckd", "dialysis", "transplant", "access_creation")
-    missing = [k for k in required if k not in raw]
-    if missing:
-        raise ConfigError(f"codesets file missing sections: {', '.join(missing)}")
-    return CodeSetLibrary(*(_codeset_from_mapping(k, raw[k]) for k in required))
-
-
-def load_codeset_library(path: Union[str, Path, None]) -> CodeSetLibrary:
-    """Load code sets from a JSON file, or the shipped defaults when None."""
-    if path is None:
-        return default_codeset_library()
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"codesets file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"codesets file {path}: invalid JSON ({exc})")
-    return _library_from_dict(raw)
 
 
 _NO_FLAGS = np.zeros(0, dtype=bool)

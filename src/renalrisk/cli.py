@@ -10,9 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .config import TASKS
 from .errors import ConfigError, RenalRiskError
 from .pipeline import STAGE_ORDER, load_pipeline_config, run_reproduce, run_stage
-from .triggers import TASKS
 
 
 class _Parser(argparse.ArgumentParser):

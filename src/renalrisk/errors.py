@@ -4,6 +4,7 @@ The CLI maps these onto process exit codes: configuration problems exit 1,
 data problems exit 2, numeric failures exit 3.
 """
 
+import math
 from contextlib import contextmanager
 from dataclasses import fields
 from numbers import Integral, Real
@@ -64,14 +65,15 @@ def is_number(value, kind=Real) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-_NUMBER_FIELDS = {"int": (Integral, "an integer"), "float": (Real, "a number")}
+_NUMBER_FIELDS = {"int": (Integral, "an integer"), "float": (Real, "a finite number")}
 
 
 def check_number_fields(config) -> None:
-    """Raise ConfigError for a dataclass field annotated int or float that holds another type."""
+    """Raise ConfigError for a dataclass field annotated int or float that holds another
+    type, or a float field that holds NaN or an infinity."""
     for f in fields(config):
         if f.type in _NUMBER_FIELDS:
             kind, noun = _NUMBER_FIELDS[f.type]
             value = getattr(config, f.name)
-            if not is_number(value, kind):
+            if not is_number(value, kind) or isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be {noun}, got {value!r}")

@@ -11,9 +11,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .claims import NEVER, ClaimTimeline, CodeSet, first_occurrences
+from .claims import NEVER, ClaimTimeline, first_occurrences
+from .config import HORIZON_DAYS, TASKS, CodeSet
 from .errors import DataError
-from .triggers import HORIZON_DAYS, TASKS
 
 
 @dataclass(frozen=True)

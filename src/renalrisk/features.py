@@ -22,9 +22,9 @@ from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
 
-from .claims import ClaimTimeline, CodeSystem, PairTable, Race, Sex, _iter_lines, _parse_date
+from .claims import ClaimTimeline, PairTable, Race, Sex, _iter_lines, _parse_date
+from .config import N_CLASSES, TASKS, CodeSystem
 from .errors import DataError, ParseError, in_file, naming_file
-from .triggers import N_CLASSES, TASKS
 
 BUCKET_EDGES = (30, 90, 365, 3650)
 N_BUCKETS = len(BUCKET_EDGES)

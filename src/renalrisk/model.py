@@ -28,38 +28,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, check_number_fields
+from .config import (  # noqa: F401  (re-exports)
+    MODEL_MAGIC,
+    N_CLASSES,
+    HyperParams,
+    _read_header,
+    read_model_header,
+)
+from .errors import ConfigError, DataError, NumericError
 from .features import FeatureMatrix
-from .triggers import N_CLASSES
 
-MODEL_MAGIC = b"RNRKLM01"
 # Rows per predict batch; it sets the slab composition and so the prediction bytes.
 PREDICT_BATCH_ROWS = 4096
-
-
-@dataclass(frozen=True)
-class HyperParams:
-    l1_coefficient: float = 0.0
-    initial_learning_rate: float = 0.5
-    decay_rate: float = 0.9
-    decay_steps: int = 1000
-    batch_size: int = 512
-    max_epochs: int = 20
-    patience: int = 5
-    seed: int = 0
-
-    def validate(self) -> None:
-        check_number_fields(self)
-        if self.l1_coefficient < 0:
-            raise ConfigError("l1_coefficient must be non-negative")
-        if self.initial_learning_rate <= 0:
-            raise ConfigError("initial_learning_rate must be positive")
-        if not (0 < self.decay_rate <= 1):
-            raise ConfigError("decay_rate must be in (0, 1]")
-        if self.decay_steps <= 0 or self.batch_size <= 0 or self.max_epochs <= 0:
-            raise ConfigError("decay_steps, batch_size, max_epochs must be positive")
-        if self.patience < 0:
-            raise ConfigError("patience must be non-negative")
 
 
 @dataclass
@@ -335,47 +315,6 @@ def save_model(
         handle.write(blob)
         handle.write(params.weights.astype("<f8").tobytes(order="C"))
         handle.write(params.bias.astype("<f8").tobytes(order="C"))
-
-
-_HEADER_KEYS = (
-    "format_version",
-    "task",
-    "n_classes",
-    "n_features",
-    "vocab_hash",
-    "hyperparams",
-    "lineage",
-)
-
-
-def _read_header(handle, path) -> dict:
-    if handle.read(8) != MODEL_MAGIC:
-        raise DataError(f"{path}: not a model file (bad magic)")
-    size = handle.read(4)
-    if len(size) != 4:
-        raise DataError(f"{path}: truncated model header")
-    (length,) = struct.unpack("<I", size)
-    blob = handle.read(length)
-    if len(blob) != length:
-        raise DataError(f"{path}: truncated model header")
-    try:
-        header = json.loads(blob.decode("utf-8"))
-    except ValueError:  # UnicodeDecodeError and JSONDecodeError
-        raise DataError(f"{path}: model header is not UTF-8 JSON")
-    if not isinstance(header, dict):
-        raise DataError(f"{path}: model header is not a JSON object")
-    missing = [key for key in _HEADER_KEYS if key not in header]
-    if missing:
-        raise DataError(f"{path}: model header lacks {', '.join(missing)}")
-    for key in ("n_classes", "n_features"):
-        if type(header[key]) is not int or header[key] < 0:
-            raise DataError(f"{path}: model header has a bad {key} {header[key]!r}")
-    return header
-
-
-def read_model_header(path: str | Path) -> dict:
-    with open(path, "rb") as handle:
-        return _read_header(handle, path)
 
 
 def load_model(

@@ -12,6 +12,10 @@ lineage recomputed from the current config and input files; rerunning it is
 then a no-op. Stages refuse to run on missing or stale upstream artifacts.
 Outputs are written to a temp file and renamed into place; a failed write
 deletes its temp file.
+
+At module level this imports the standard library and ``config`` alone. Each
+stage body imports numpy and the stage modules it calls, so a stage found up
+to date, and every config error, exits without loading them.
 """
 
 from __future__ import annotations
@@ -27,33 +31,37 @@ from numbers import Integral
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-import numpy as np
-
-from . import claims as claims_mod
-from . import evaluation as eval_mod
-from . import features as feat_mod
-from . import model as model_mod
-from . import synth as synth_mod
-from . import triggers as trig_mod
+from .config import (
+    HORIZON_DAYS,
+    N_CLASSES,
+    TASKS,
+    CodeSetLibrary,
+    HyperParams,
+    SynthConfig,
+    check_split_ratios,
+    check_trigger_buffer,
+    config_from_dict,
+    load_codeset_library,
+    read_model_header,
+)
 from .errors import ConfigError, DataError, ParseError, is_number, naming_file
-from .triggers import TASKS
 
 
 @dataclass
 class PipelineConfig:
     workdir: Path
     seed: int
-    synth: synth_mod.SynthConfig | None
+    synth: SynthConfig | None
     claims_path: Path | None
     dataset_range: tuple[date, date]
     trigger_range: tuple[date, date]
-    codesets: claims_mod.CodeSetLibrary
+    codesets: CodeSetLibrary
     split_ratios: tuple[float, float, float]
     split_seed: int
     min_count: int
     tasks: tuple[str, ...]
-    hyperparams: model_mod.HyperParams | None
-    grid: tuple[model_mod.HyperParams, ...] | None
+    hyperparams: HyperParams | None
+    grid: tuple[HyperParams, ...] | None
     target_sensitivities: tuple[float, ...]
     workers: int = 1
 
@@ -78,15 +86,15 @@ def _integer(raw, what: str) -> int:
     return raw
 
 
-def _hp_from_dict(raw: dict, default_seed: int) -> model_mod.HyperParams:
+def _hp_from_dict(raw: dict, default_seed: int) -> HyperParams:
     _object(raw, "train.hyperparams")
-    known = set(model_mod.HyperParams.__dataclass_fields__)
+    known = set(HyperParams.__dataclass_fields__)
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown hyperparameter fields: {sorted(unknown)}")
     data = {"seed": default_seed}
     data.update(raw)
-    hp = model_mod.HyperParams(**data)
+    hp = HyperParams(**data)
     hp.validate()
     return hp
 
@@ -138,7 +146,7 @@ def load_pipeline_config(
         synth_raw.setdefault("seed", seed)
         if seed_override is not None:
             synth_raw["seed"] = seed_override
-        synth_cfg = synth_mod.config_from_dict(synth_raw)
+        synth_cfg = config_from_dict(synth_raw)
         dataset_range = synth_cfg.date_range
     elif raw.get("claims"):
         claims_path = Path(raw["claims"])
@@ -153,11 +161,11 @@ def load_pipeline_config(
     trigger_range = _parse_date_pair(raw["trigger_range"], "trigger_range")
     if trigger_range[0] > trigger_range[1]:
         raise ConfigError("trigger_range start must not follow end")
-    trig_mod.check_trigger_buffer(trigger_range, dataset_range[1])
+    check_trigger_buffer(trigger_range, dataset_range[1])
 
     split_raw = _object(raw.get("split", {}), "split")
     ratios = split_raw.get("ratios", (0.8, 0.1, 0.1))
-    trig_mod.check_split_ratios(ratios)
+    check_split_ratios(ratios)
     split_seed = _integer(split_raw.get("seed", seed + 1), "split.seed")
     if seed_override is not None:
         split_seed = seed_override + 1
@@ -210,7 +218,7 @@ def load_pipeline_config(
         claims_path=claims_path,
         dataset_range=dataset_range,
         trigger_range=trigger_range,
-        codesets=claims_mod.load_codeset_library(codesets or None),
+        codesets=load_codeset_library(codesets or None),
         split_ratios=tuple(ratios),  # type: ignore[arg-type]
         split_seed=split_seed,
         min_count=min_count,
@@ -292,7 +300,7 @@ def read_text_lineage(path: Path) -> dict | None:
 def read_artifact_lineage(path: Path) -> dict | None:
     if path.suffix == ".bin":
         try:
-            return model_mod.read_model_header(path).get("lineage")
+            return read_model_header(path).get("lineage")
         except (DataError, OSError):
             return None
     if path.suffix == ".json":
@@ -523,6 +531,8 @@ def _check_upstream(cfg: PipelineConfig, stage: str, cache: _HashCache) -> None:
 
 
 def _run_synth(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -> None:
+    from . import synth as synth_mod
+
     assert cfg.synth is not None
     with ExitStack() as stack:
         ch = _open_text_artifact(stack, paths["claims"], lineage)
@@ -538,10 +548,16 @@ def _run_synth(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -> No
 
 
 def _run_triggers(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -> None:
+    import numpy as np
+
+    from . import claims as claims_mod
+    from . import evaluation as eval_mod
+    from . import triggers as trig_mod
+
     mask_counts = np.zeros(trig_mod.N_REASON_MASKS, dtype=np.int64)
-    class_counts = np.zeros((len(TASKS), trig_mod.N_CLASSES), dtype=np.int64)
+    class_counts = np.zeros((len(TASKS), N_CLASSES), dtype=np.int64)
     had_access: dict[str, bool] = {}
-    dialysis, last_window = TASKS.index("dialysis"), len(trig_mod.HORIZON_DAYS) - 1
+    dialysis, last_window = TASKS.index("dialysis"), len(HORIZON_DAYS) - 1
 
     def rows():
         for timeline in claims_mod.iter_timelines(paths["claims"]):
@@ -553,7 +569,7 @@ def _run_triggers(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) ->
             if counts[0]:
                 classes = block.classes[:, block.reason_masks == 0]
                 for task_counts, task_classes in zip(class_counts, classes):
-                    task_counts += np.bincount(task_classes, minlength=trig_mod.N_CLASSES)
+                    task_counts += np.bincount(task_classes, minlength=N_CLASSES)
                 # only these beneficiaries can be dialysis positives in evaluate
                 if (classes[dialysis] <= last_window).any():
                     had_access[block.beneficiary_id] = bool(
@@ -575,6 +591,12 @@ def _run_triggers(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) ->
 
 
 def _run_featurize(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -> None:
+    import numpy as np
+
+    from . import claims as claims_mod
+    from . import features as feat_mod
+    from . import triggers as trig_mod
+
     # per beneficiary with an eligible trigger: its date grid, the eligible
     # positions on it and their classes (one column per trigger)
     eligible_by_bid: dict[str, tuple[trig_mod._DateGrid, np.ndarray, np.ndarray]] = {}
@@ -661,10 +683,17 @@ def _feature_file_vocab_hash(path: Path) -> str | None:
 
 
 def _load_matrix(path: Path, vocab: feat_mod.Vocabulary) -> feat_mod.FeatureMatrix:
+    from . import features as feat_mod
+
     return feat_mod.read_feature_matrix(path, len(vocab), _feature_file_vocab_hash(path))
 
 
 def _run_train(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path], only_task=None) -> None:
+    import numpy as np
+
+    from . import features as feat_mod
+    from . import model as model_mod
+
     vocab = feat_mod.Vocabulary.from_file(paths["vocab"])
     vocab_hash = vocab.content_hash()
     train_matrix = _load_matrix(paths["features_train"], vocab)
@@ -699,6 +728,9 @@ def _run_train(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path], only_
 
 
 def _run_predict(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path], only_task=None) -> None:
+    from . import features as feat_mod
+    from . import model as model_mod
+
     vocab = feat_mod.Vocabulary.from_file(paths["vocab"])
     vocab_hash = vocab.content_hash()
     test_matrix = _load_matrix(paths["features_test"], vocab)
@@ -720,7 +752,9 @@ def _run_predict(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path], onl
 
 def read_predictions(path: Path) -> tuple[list[tuple[str, str]], np.ndarray, np.ndarray]:
     """Ids, window scores and horizon probabilities; a malformed row is a ParseError."""
-    n_classes = trig_mod.N_CLASSES
+    import numpy as np
+
+    n_classes = N_CLASSES
     ids = []
     line_nos = []
     s_rows = []
@@ -755,11 +789,22 @@ def read_predictions(path: Path) -> tuple[list[tuple[str, str]], np.ndarray, np.
 
 
 def _run_evaluate(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -> None:
+    import numpy as np
+
+    from . import evaluation as eval_mod
+    from . import features as feat_mod
+    from . import triggers as trig_mod
+
     # the trigger table and the claims come in through their summary
     summary = trig_mod.read_trigger_summary(paths["trigger_summary"])
     prevalence = eval_mod.prevalence_table(dict(zip(TASKS, summary.class_counts)))
 
     test_rows = list(feat_mod.iter_feature_rows(paths["features_test"]))
+    if not test_rows:
+        raise DataError(
+            f"evaluate: the test split is empty: {paths['features_test']} holds no eligible "
+            "trigger to score (use a larger cohort or a larger test ratio)"
+        )
     test_ids = [(bid, tdate) for bid, tdate, _, _ in test_rows]
     classes_by_task = {
         task: np.asarray([classes[task] for _, _, classes, _ in test_rows], dtype=np.int64)
@@ -780,7 +825,7 @@ def _run_evaluate(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) ->
             dialysis_scores = p[:, -1]
 
     impact_rows = None  # also when no test trigger is a dialysis positive
-    positives = classes_by_task["dialysis"] <= len(trig_mod.HORIZON_DAYS) - 1
+    positives = classes_by_task["dialysis"] <= len(HORIZON_DAYS) - 1
     if dialysis_scores is not None and positives.any():
         impact = eval_mod.impact_analysis(
             [bid for bid, _ in test_ids],
@@ -802,7 +847,7 @@ def _run_evaluate(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) ->
         ]
 
     report = {
-        "horizon_days": list(trig_mod.HORIZON_DAYS),
+        "horizon_days": list(HORIZON_DAYS),
         "n_test_triggers": len(test_ids),
         "prevalence": prevalence,
         "performance": performance,

@@ -31,15 +31,20 @@ generation is chunked across workers.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
-from numbers import Integral
 from typing import IO, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, check_number_fields, is_number
-from .claims import DEFAULT_CODESETS, NEVER
+from .claims import NEVER
+from .config import (  # noqa: F401  (re-exports)
+    DEFAULT_CODESETS,
+    DEFAULT_VOCAB_SIZES,
+    SynthConfig,
+    config_from_dict,
+)
+from .errors import ConfigError
 
 SEV_MAX = 18.0  # ceiling of the latent scale; coding saturates near 14
 SEV_REF = 5.0
@@ -49,27 +54,6 @@ DIALYSIS_CODES = tuple(DEFAULT_CODESETS["dialysis"]["CPT"])
 TRANSPLANT_CODES = tuple(DEFAULT_CODESETS["transplant"]["CPT"])
 ACCESS_CODES = tuple(DEFAULT_CODESETS["access_creation"]["CPT"])
 
-DEFAULT_VOCAB_SIZES: dict[str, int] = {
-    "ICD9_DX": 240,
-    "ICD10_DX": 280,
-    "CCS_DX": 90,
-    "HCC": 60,
-    "ICD9_PX": 90,
-    "ICD10_PX": 90,
-    "CCS_PX": 60,
-    "CPT": 240,
-    "HCPCS": 120,
-    "HCPCS_ALPHA": 60,
-    "PERFORMER_ROLE": 24,
-    "ENCOUNTER_CLASS": 6,
-    "ADMIT_SOURCE": 6,
-    "DISCHARGE_DISPOSITION": 8,
-    "REVENUE_CODE": 40,
-    "MED_HCPCS": 100,
-    "RXNORM": 160,
-    "ENCOUNTER_CCS": 60,
-    "ENCOUNTER_HCC": 40,
-}
 
 _BASE_ROLES = (
     "internal_medicine",
@@ -85,72 +69,6 @@ _BASE_ROLES = (
     "dermatology",
     "podiatry",
 )
-
-@dataclass(frozen=True)
-class SynthConfig:
-    n_beneficiaries: int
-    date_range: tuple[date, date] = (date(2011, 1, 1), date(2016, 12, 31))
-    seed: int = 7
-    ckd_fraction: float = 0.3
-    monthly_hazard_scale: float = 0.5
-    target_365d_prevalence: float = 0.01
-    access_creation_fraction: float = 0.65
-    vocab_sizes: Mapping[str, int] = field(default_factory=lambda: dict(DEFAULT_VOCAB_SIZES))
-    claims_rate: float = 0.55
-    hazard_severity_weight: float = 0.9
-    # cohort-shape knobs
-    transplant_share: float = 0.07
-    under_65_fraction: float = 0.03
-    late_enrollment_fraction: float = 0.08
-    decoy_access_monthly_rate: float = 0.010
-    monthly_death_hazard: float = 0.0012
-    severity_claims_slope: float = 0.13  # relative claims-rate increase per severity unit
-    progressor_fraction: float = 0.06  # share of CKD patients on a fast gradual course
-    crash_fraction: float = 0.04  # share of CKD patients whose course collapses abruptly
-
-    def validate(self) -> None:
-        check_number_fields(self)
-        if self.n_beneficiaries < 1:
-            raise ConfigError("n_beneficiaries must be >= 1")
-        start, end = self.date_range
-        if start >= end:
-            raise ConfigError("date_range start must precede end")
-        if (end.year, end.month) == (start.year, start.month):
-            raise ConfigError("date_range must span at least two calendar months")
-        for name in (
-            "ckd_fraction",
-            "target_365d_prevalence",
-            "access_creation_fraction",
-            "transplant_share",
-            "under_65_fraction",
-            "late_enrollment_fraction",
-            "progressor_fraction",
-            "crash_fraction",
-        ):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ConfigError(f"{name} must be a probability, got {v}")
-        if not (0.0 <= self.monthly_hazard_scale <= 1.0):
-            raise ConfigError("monthly_hazard_scale must be in [0, 1]")
-        if self.claims_rate < 0:
-            raise ConfigError("claims_rate must be non-negative")
-        if self.hazard_severity_weight < 0:
-            raise ConfigError("hazard_severity_weight must be non-negative")
-        if not isinstance(self.vocab_sizes, Mapping):
-            raise ConfigError(
-                f"vocab_sizes must map code systems to pool sizes, got {self.vocab_sizes!r}"
-            )
-        for name, size in self.vocab_sizes.items():
-            if name not in DEFAULT_VOCAB_SIZES:
-                raise ConfigError(
-                    f"vocab_sizes: unknown code system {name!r} "
-                    f"(expected one of {sorted(DEFAULT_VOCAB_SIZES)})"
-                )
-            least = 2 if name == "PERFORMER_ROLE" else 1  # one role is the nephrology signal
-            if not is_number(size, Integral) or size < least:
-                raise ConfigError(
-                    f"vocab_sizes[{name!r}] must be an integer >= {least}, got {size!r}"
-                )
 
 
 @dataclass
@@ -880,26 +798,3 @@ def generate(
         hazard_multiplier=multiplier,
         predicted_prevalence=predicted,
     )
-
-
-def config_from_dict(raw: Mapping) -> SynthConfig:
-    """Build a SynthConfig from parsed JSON, validating field names."""
-    data = dict(raw)
-    if "date_range" in data:
-        try:
-            lo, hi = data["date_range"]
-            data["date_range"] = (date.fromisoformat(lo), date.fromisoformat(hi))
-        except (TypeError, ValueError):
-            raise ConfigError(
-                "synth.date_range must be a [start, end] pair of ISO dates, "
-                f"got {raw['date_range']!r}"
-            )
-    known = set(SynthConfig.__dataclass_fields__)
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown synth config fields: {sorted(unknown)}")
-    if "n_beneficiaries" not in data:
-        raise ConfigError("synth config requires n_beneficiaries")
-    cfg = SynthConfig(**data)
-    cfg.validate()
-    return cfg

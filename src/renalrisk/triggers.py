@@ -27,17 +27,17 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .claims import NEVER, ClaimTimeline, CodeSetLibrary, _iter_lines, _parse_date
-from .claims import first_occurrences
-from .errors import ConfigError, DataError, ParseError, in_file, is_number, naming_file
+from .claims import NEVER, ClaimTimeline, _iter_lines, _parse_date, first_occurrences
+from .config import (  # noqa: F401  (re-exports)
+    HORIZON_DAYS,
+    N_CLASSES,
+    TASKS,
+    CodeSetLibrary,
+    check_split_ratios,
+    check_trigger_buffer,
+)
+from .errors import DataError, ParseError, in_file, naming_file
 
-TASKS = ("rrt", "dialysis", "transplant")
-
-# The overlapping prediction horizons in days. The disjoint label windows end
-# at them, (0,30], (30,60], ..., (180,365], and one more class means no event
-# within the last horizon.
-HORIZON_DAYS = (30, 60, 90, 180, 365)
-N_CLASSES = len(HORIZON_DAYS) + 1
 # The one-hot label of each class, shared by every trigger that has it.
 _ONE_HOT = tuple(tuple(int(i == cls) for i in range(N_CLASSES)) for cls in range(N_CLASSES))
 
@@ -158,16 +158,6 @@ class TriggerBlock:
         return out
 
 
-def check_trigger_buffer(trigger_range: tuple[date, date], dataset_end: date) -> None:
-    """Refuse a trigger range whose last month leaves under the longest horizon of data."""
-    end = trigger_range[1]
-    if end.toordinal() + HORIZON_DAYS[-1] > dataset_end.toordinal():
-        raise ConfigError(
-            f"trigger range end {end} needs {HORIZON_DAYS[-1]} days of buffer before "
-            f"dataset end {dataset_end}"
-        )
-
-
 def enumerate_triggers(
     timeline: ClaimTimeline,
     trigger_range: tuple[date, date],
@@ -211,17 +201,6 @@ def reason_counts(mask_counts: np.ndarray) -> dict[IneligibilityReason, int]:
     """Candidates per ineligibility reason, from their count per reason mask."""
     masks = np.arange(N_REASON_MASKS)
     return {r: int(mask_counts[(masks >> k & 1) == 1].sum()) for k, r in enumerate(_REASONS)}
-
-
-def check_split_ratios(ratios) -> None:
-    """Refuse anything but three non-negative numbers that sum to 1 (train, valid, test)."""
-    numbers = isinstance(ratios, (list, tuple)) and all(map(is_number, ratios))
-    if not numbers or len(ratios) != 3:
-        raise ConfigError(f"split.ratios must be a list of three numbers, got {ratios!r}")
-    if any(r < 0 for r in ratios):
-        raise ConfigError(f"need 3 non-negative split ratios, got {ratios!r}")
-    if not abs(sum(ratios) - 1.0) <= 1e-9:  # also refuses NaN
-        raise ConfigError(f"split ratios must sum to 1, got {ratios!r}")
 
 
 def split_beneficiaries(

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import renalrisk
 import renalrisk.synth as synth_mod
@@ -78,16 +83,73 @@ def test_unknown_config_section_rejected(tmp_path):
         load_pipeline_config(path)
 
 
-def test_cli_import_loads_no_process_pool_or_calendar():
-    """Every stage process imports the CLI, so its import does no work a stage may not need."""
-    code = "import sys, renalrisk.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
-    unwanted = ["concurrent.futures", "multiprocessing", "calendar"]
+# What a stage loads only once its body runs: a no-op stage and a refused command need none.
+_STAGE_MODULES = [
+    "numpy",
+    "renalrisk.claims",
+    "renalrisk.features",
+    "renalrisk.model",
+    "renalrisk.synth",
+    "renalrisk.triggers",
+    "renalrisk.evaluation",
+]
+
+
+def _fresh_cli(argv: list[str], watched: list[str]) -> tuple[int, str, list[str]]:
+    """Run the CLI on argv in a fresh interpreter (no command: only import it).
+
+    Returns the exit code, the stage output and the watched modules it loaded.
+    """
+    code = (
+        "import json, sys\n"
+        "from renalrisk.cli import main\n"
+        "argv, watched = json.loads(sys.argv[1]), json.loads(sys.argv[2])\n"
+        "code = main(argv) if argv else 0\n"
+        "print(json.dumps([code, sorted(set(watched) & set(sys.modules))]))\n"
+    )
     src = str(Path(renalrisk.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", code, *unwanted], env=env, capture_output=True, text=True, check=True
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argv), json.dumps(watched)],
+        env=env,
+        capture_output=True,
+        text=True,
     )
-    assert out.stdout.strip() == "[]"
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    *output, last = proc.stdout.splitlines()
+    exit_code, loaded = json.loads(last)
+    return exit_code, "\n".join(output), loaded
+
+
+def test_cli_import_loads_no_process_pool_or_calendar():
+    """Every stage process imports the CLI, so its import does no work a stage may not need."""
+    unwanted = ["concurrent.futures", "multiprocessing", "calendar", *_STAGE_MODULES]
+    assert _fresh_cli([], unwanted) == (0, "", [])
+
+
+def test_noop_stages_and_refused_commands_load_no_numpy(completed_run, tmp_path):
+    """An up-to-date stage, a usage error and a config error each exit before numpy loads."""
+    _, cfg_path = _copy_of_run(completed_run, tmp_path)
+    for stage in STAGE_ORDER:
+        code, out, loaded = _fresh_cli([stage, "--config", str(cfg_path)], _STAGE_MODULES)
+        assert (code, out, loaded) == (0, f"{stage}: up to date", []), stage
+    bad = write_config(tmp_path, workdir_name="bad", seed=-1)
+    for argv in (["definitely-not-a-stage"], ["train", "--config", str(bad)]):
+        assert _fresh_cli(argv, _STAGE_MODULES) == (1, "", []), argv
+    assert not (tmp_path / "bad").exists()
+
+
+def test_working_stages_load_only_their_own_modules(completed_run, tmp_path):
+    """Only the synth stage loads the generator; each other stage reruns without it."""
+    _, cfg_path = _copy_of_run(completed_run, tmp_path)
+    cfg = load_pipeline_config(cfg_path)
+    paths = artifact_paths(cfg)
+    for stage in STAGE_ORDER[1:]:
+        for name in STAGES[stage].outputs(cfg):
+            paths[name].unlink()
+        code, out, loaded = _fresh_cli([stage, "--config", str(cfg_path)], _STAGE_MODULES)
+        assert code == 0 and "up to date" not in out, stage
+        assert "numpy" in loaded and "renalrisk.synth" not in loaded, (stage, loaded)
 
 
 def test_usage_error_exit_code_1(capsys):
@@ -493,6 +555,23 @@ def test_evaluate_refuses_a_malformed_prediction_row(completed_run, tmp_path, ca
     assert "Traceback" not in err
 
 
+def test_evaluate_refuses_an_empty_test_split(tmp_path, capsys):
+    """configs/small.json cut to 40 beneficiaries leaves no eligible trigger in the test split."""
+    small = Path(__file__).resolve().parent.parent / "configs" / "small.json"
+    raw = json.loads(small.read_text())
+    raw["workdir"] = str(tmp_path / "run")
+    raw["synth"]["n_beneficiaries"] = 40
+    raw["train"]["hyperparams"]["max_epochs"] = 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["reproduce", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert " test=0" in captured.out
+    assert captured.err.startswith("error: evaluate: the test split is empty: ")
+    assert "features_test.tsv" in captured.err and len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
 def test_failed_triggers_write_leaves_no_temp_file(completed_run, tmp_path, capsys):
     workdir, cfg_path = _copy_of_run(completed_run, tmp_path)
     claims = workdir / "claims.tsv"
@@ -624,6 +703,107 @@ def test_config_a_stage_would_refuse_is_refused_before_synth(tmp_path, capsys, o
     assert err.startswith("error: ") and message in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "run").exists()
+
+
+_NAN, _INF = float("nan"), float("inf")
+# Per config field, values no stage can use. Each must be refused when the config
+# loads, whatever the rest of the config holds.
+_BAD_VALUES = {
+    "workdir": [5, None, [], True],
+    "seed": [-1, True, 1.5, "abc", None],
+    "synth": [5, "x", [1]],
+    "synth.n_beneficiaries": [0, -5, 1.5, "x", True, None],
+    "synth.seed": [-1, 1.5, "x", True],
+    "synth.date_range": [
+        ["2011-13-01", "2016-12-31"],
+        ["2016-12-31", "2011-01-01"],
+        ["2011-01-01", "2011-01-20"],
+        ["2011-01-01"],
+        [1, 2],
+        "2011",
+        None,
+    ],
+    "synth.ckd_fraction": [-0.1, 1.5, "x", None, True, _NAN],
+    "synth.monthly_hazard_scale": [-1, 1.5, "x", _NAN],
+    "synth.claims_rate": [-1, "x", _NAN, _INF],
+    "synth.hazard_severity_weight": [-1, "x", _NAN, _INF],
+    "synth.decoy_access_monthly_rate": [-1, 2.0, _NAN],
+    "synth.monthly_death_hazard": [-1, 2.0, _NAN],
+    "synth.severity_claims_slope": ["x", _NAN, _INF],
+    "synth.vocab_sizes": [
+        [1, 2],
+        {"CPTT": 5},
+        {"CPT": 0},
+        {"CPT": True},
+        {"CPT": 2.7},
+        {"PERFORMER_ROLE": 1},
+    ],
+    "synth.no_such_field": [1],
+    "trigger_range": [
+        ["2012-01-01", "2016-06-01"],
+        ["9999-01-01", "9999-06-01"],
+        ["2015-01-01", "2012-01-01"],
+        ["2012-01-01"],
+        "x",
+        None,
+    ],
+    "codesets": ["/nonexistent.json", 5, []],
+    "split": [5, "x"],
+    "split.ratios": [
+        [0.5, 0.2, 0.2],
+        [1.2, -0.1, -0.1],
+        [_NAN, 0.5, 0.5],
+        [_INF, 0, 0],
+        [0.5, 0.5],
+        [1, 0, 0, 0],
+        ["a", "b", "c"],
+        [True, False, False],
+        "abc",
+    ],
+    "split.seed": ["x", 1.5, True, None],
+    "features": [5, "x"],
+    "features.min_count": [0, -1, 2.7, "x", True, None],
+    "train": [5, "x"],
+    "train.tasks": [[], ["rrt", "rrt"], ["kidney"], "rrt", 5, None],
+    "train.hyperparams": [5, "x"],
+    "train.hyperparams.l1_coefficient": [-1, "x", True, _NAN, _INF],
+    "train.hyperparams.initial_learning_rate": [0, -1, "x", _NAN, _INF],
+    "train.hyperparams.decay_rate": [0, 1.5, "x", _NAN],
+    "train.hyperparams.decay_steps": [0, -1, 1.5],
+    "train.hyperparams.batch_size": [0, -1, 1.5, True, "x"],
+    "train.hyperparams.max_epochs": [0, -1, 1.5],
+    "train.hyperparams.patience": [-1, 1.5, "x"],
+    "train.hyperparams.seed": [-1, 1.5, "x", True],
+    "train.hyperparams.no_such_field": [1],
+    "train.grid": [[], 5, [5], [{"max_epochs": 0}]],
+    "evaluate": [5, "x"],
+    "evaluate.target_sensitivities": [[], ["x"], [0], [1.5], [_NAN], 5, None],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(_BAD_VALUES)).flatmap(
+        lambda field: st.tuples(st.just(field), st.sampled_from(_BAD_VALUES[field]))
+    )
+)
+def test_one_bad_field_is_refused_at_load(case):
+    """A valid config with one field set to a bad value: exit 1, one error line, no work."""
+    field, value = case
+    with tempfile.TemporaryDirectory() as tmp:
+        raw = json.loads(write_config(Path(tmp)).read_text())
+        *sections, key = field.split(".")
+        section = raw
+        for name in sections:
+            section = section.setdefault(name, {})
+        section[key] = value
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(raw))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["reproduce", "--config", str(path)]) == 1
+        assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1
+        assert not (Path(tmp) / "run").exists()
 
 
 def test_negative_seed_override_is_a_config_error(tmp_path, capsys):
