@@ -1,13 +1,10 @@
-"""Exception hierarchy shared across the pipeline, and the type check of config numbers.
+"""Exception hierarchy shared across the pipeline.
 
 The CLI maps these onto process exit codes: configuration problems exit 1,
 data problems exit 2, numeric failures exit 3.
 """
 
-import math
 from contextlib import contextmanager
-from dataclasses import fields
-from numbers import Integral, Real
 from os import PathLike
 
 
@@ -58,22 +55,3 @@ class NumericError(RenalRiskError):
     """Non-finite loss or other numeric breakdown during training."""
 
     exit_code = 3
-
-
-def is_number(value, kind=Real) -> bool:
-    """Whether value is an instance of kind (Real or Integral) other than a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-_NUMBER_FIELDS = {"int": (Integral, "an integer"), "float": (Real, "a finite number")}
-
-
-def check_number_fields(config) -> None:
-    """Raise ConfigError for a dataclass field annotated int or float that holds another
-    type, or a float field that holds NaN or an infinity."""
-    for f in fields(config):
-        if f.type in _NUMBER_FIELDS:
-            kind, noun = _NUMBER_FIELDS[f.type]
-            value = getattr(config, f.name)
-            if not is_number(value, kind) or isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be {noun}, got {value!r}")

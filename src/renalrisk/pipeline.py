@@ -26,208 +26,18 @@ import os
 import time
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, replace
-from datetime import date
-from numbers import Integral
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .config import (
+from .config import (  # noqa: F401  (load_pipeline_config: a re-export)
     HORIZON_DAYS,
     N_CLASSES,
     TASKS,
-    CodeSetLibrary,
-    HyperParams,
-    SynthConfig,
-    check_split_ratios,
-    check_trigger_buffer,
-    config_from_dict,
-    load_codeset_library,
+    PipelineConfig,
+    load_pipeline_config,
     read_model_header,
 )
-from .errors import ConfigError, DataError, ParseError, is_number, naming_file
-
-
-@dataclass
-class PipelineConfig:
-    workdir: Path
-    seed: int
-    synth: SynthConfig | None
-    claims_path: Path | None
-    dataset_range: tuple[date, date]
-    trigger_range: tuple[date, date]
-    codesets: CodeSetLibrary
-    split_ratios: tuple[float, float, float]
-    split_seed: int
-    min_count: int
-    tasks: tuple[str, ...]
-    hyperparams: HyperParams | None
-    grid: tuple[HyperParams, ...] | None
-    target_sensitivities: tuple[float, ...]
-    workers: int = 1
-
-
-def _parse_date_pair(raw, what: str) -> tuple[date, date]:
-    try:
-        lo, hi = raw
-        return date.fromisoformat(lo), date.fromisoformat(hi)
-    except (ValueError, TypeError):
-        raise ConfigError(f"{what} must be a [start, end] pair of ISO dates, got {raw!r}")
-
-
-def _object(raw, what: str) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {raw!r}")
-    return raw
-
-
-def _integer(raw, what: str) -> int:
-    if not is_number(raw, Integral):
-        raise ConfigError(f"{what} must be an integer, got {raw!r}")
-    return raw
-
-
-def _hp_from_dict(raw: dict, default_seed: int) -> HyperParams:
-    _object(raw, "train.hyperparams")
-    known = set(HyperParams.__dataclass_fields__)
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown hyperparameter fields: {sorted(unknown)}")
-    data = {"seed": default_seed}
-    data.update(raw)
-    hp = HyperParams(**data)
-    hp.validate()
-    return hp
-
-
-def load_pipeline_config(
-    path: str | Path,
-    seed_override: int | None = None,
-    workers: int = 1,
-) -> PipelineConfig:
-    """Parse and validate the JSON pipeline config; fail before any work."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path}: invalid JSON ({exc})")
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    known = {
-        "workdir",
-        "seed",
-        "synth",
-        "claims",
-        "dataset_range",
-        "trigger_range",
-        "codesets",
-        "split",
-        "features",
-        "train",
-        "evaluate",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    if "workdir" not in raw:
-        raise ConfigError("config requires workdir")
-    if not isinstance(raw["workdir"], str):
-        raise ConfigError(f"workdir must be a path string, got {raw['workdir']!r}")
-    if "seed" not in raw:
-        raise ConfigError("config requires a top-level seed")
-    seed = _integer(raw["seed"], "seed") if seed_override is None else seed_override
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-
-    synth_cfg = None
-    claims_path = None
-    if raw.get("synth"):
-        synth_raw = dict(_object(raw["synth"], "synth"))
-        synth_raw.setdefault("seed", seed)
-        if seed_override is not None:
-            synth_raw["seed"] = seed_override
-        synth_cfg = config_from_dict(synth_raw)
-        dataset_range = synth_cfg.date_range
-    elif raw.get("claims"):
-        claims_path = Path(raw["claims"])
-        if "dataset_range" not in raw:
-            raise ConfigError("external claims input requires dataset_range")
-        dataset_range = _parse_date_pair(raw["dataset_range"], "dataset_range")
-    else:
-        raise ConfigError("config needs either a synth section or a claims path")
-
-    if "trigger_range" not in raw:
-        raise ConfigError("config requires trigger_range")
-    trigger_range = _parse_date_pair(raw["trigger_range"], "trigger_range")
-    if trigger_range[0] > trigger_range[1]:
-        raise ConfigError("trigger_range start must not follow end")
-    check_trigger_buffer(trigger_range, dataset_range[1])
-
-    split_raw = _object(raw.get("split", {}), "split")
-    ratios = split_raw.get("ratios", (0.8, 0.1, 0.1))
-    check_split_ratios(ratios)
-    split_seed = _integer(split_raw.get("seed", seed + 1), "split.seed")
-    if seed_override is not None:
-        split_seed = seed_override + 1
-
-    feat_raw = _object(raw.get("features", {}), "features")
-    min_count = _integer(feat_raw.get("min_count", 1), "features.min_count")
-    if min_count < 1:
-        raise ConfigError("features.min_count must be >= 1")
-
-    train_raw = _object(raw.get("train", {}), "train")
-    tasks = train_raw.get("tasks", TASKS)
-    if not isinstance(tasks, (list, tuple)) or not tasks:
-        raise ConfigError(f"train.tasks must be a non-empty list, got {tasks!r}")
-    for task in tasks:
-        if task not in TASKS:
-            raise ConfigError(f"unknown task {task!r} (expected subset of {TASKS})")
-    if len(set(tasks)) < len(tasks):
-        raise ConfigError(f"train.tasks names a task twice: {tasks!r}")
-    hp = None
-    grid = None
-    hp_seed = seed + 2 if seed_override is None else seed_override + 2
-    if "grid" in train_raw:
-        if not isinstance(train_raw["grid"], list) or not train_raw["grid"]:
-            raise ConfigError("train.grid must be a non-empty list")
-        grid = tuple(_hp_from_dict(g, hp_seed) for g in train_raw["grid"])
-    else:
-        hp = _hp_from_dict(train_raw.get("hyperparams", {}), hp_seed)
-
-    eval_raw = _object(raw.get("evaluate", {}), "evaluate")
-    targets_raw = eval_raw.get("target_sensitivities", (0.6, 0.7, 0.8))
-    try:
-        targets = tuple(float(t) for t in targets_raw)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"evaluate.target_sensitivities must be a list of numbers, got {targets_raw!r}"
-        )
-    if not targets:
-        raise ConfigError("evaluate.target_sensitivities must not be empty")
-    for t in targets:
-        if not (0 < t <= 1):
-            raise ConfigError(f"target sensitivity {t} outside (0, 1]")
-
-    codesets = raw.get("codesets")
-    if codesets is not None and not isinstance(codesets, str):
-        raise ConfigError(f"codesets must be a path string, got {codesets!r}")
-    return PipelineConfig(
-        workdir=Path(raw["workdir"]),
-        seed=seed,
-        synth=synth_cfg,
-        claims_path=claims_path,
-        dataset_range=dataset_range,
-        trigger_range=trigger_range,
-        codesets=load_codeset_library(codesets or None),
-        split_ratios=tuple(ratios),  # type: ignore[arg-type]
-        split_seed=split_seed,
-        min_count=min_count,
-        tasks=tuple(tasks),
-        hyperparams=hp,
-        grid=grid,
-        target_sensitivities=targets,
-        workers=workers,
-    )
+from .errors import ConfigError, DataError, ParseError, naming_file
 
 
 # ---------------------------------------------------------------------------

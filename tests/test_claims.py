@@ -1,3 +1,5 @@
+import json
+import re
 from datetime import date, timedelta
 
 import pytest
@@ -253,4 +255,28 @@ def test_codeset_unknown_system_rejected(tmp_path):
         '{"ckd": {"BOGUS": ["x"]}, "dialysis": {}, "transplant": {}, "access_creation": {}}'
     )
     with pytest.raises(ConfigError, match="unknown code system"):
+        load_codeset_library(path)
+
+
+_GOOD_CODESETS = {
+    "ckd": {"ICD10_DX": ["N181"]},
+    "dialysis": {"CPT": ["90951"]},
+    "transplant": {"CPT": ["50360"]},
+    "access_creation": {"CPT": ["36818"]},
+}
+_BAD_CODESETS = {
+    "section_a_list": ({"ckd": ["N181"]}, "codesets.ckd must be a JSON object"),
+    "codes_null": ({"ckd": {"ICD10_DX": None}}, "codesets.ckd.ICD10_DX must be a list"),
+    "codes_a_string": ({"ckd": {"ICD10_DX": "N181"}}, "codesets.ckd.ICD10_DX must be a list"),
+    "int_code": ({"dialysis": {"CPT": [90951]}}, "codesets.dialysis.CPT must be a list"),
+    "empty_code": ({"dialysis": {"CPT": [""]}}, "codesets.dialysis.CPT must be a list"),
+    "unknown_section": ({"ckdd": {}}, "unknown codesets file sections: ['ckdd']"),
+}
+
+
+@pytest.mark.parametrize("change, message", _BAD_CODESETS.values(), ids=_BAD_CODESETS)
+def test_malformed_codesets_file_is_a_config_error(tmp_path, change, message):
+    path = tmp_path / "codesets.json"
+    path.write_text(json.dumps(_GOOD_CODESETS | change))
+    with pytest.raises(ConfigError, match=re.escape(message)):
         load_codeset_library(path)

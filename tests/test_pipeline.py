@@ -706,8 +706,9 @@ def test_config_a_stage_would_refuse_is_refused_before_synth(tmp_path, capsys, o
 
 
 _NAN, _INF = float("nan"), float("inf")
-# Per config field, values no stage can use. Each must be refused when the config
-# loads, whatever the rest of the config holds.
+# Per config field, values no stage can use, or that the base config's synth section
+# and hyperparameters exclude (a claims path, a dataset_range, a grid). Each must be
+# refused when the config loads, whatever the rest of the config holds.
 _BAD_VALUES = {
     "workdir": [5, None, [], True],
     "seed": [-1, True, 1.5, "abc", None],
@@ -747,8 +748,11 @@ _BAD_VALUES = {
         "x",
         None,
     ],
+    "claims": [5, ["a"], "claims.tsv"],
+    "dataset_range": [["2011-01-01", "2016-12-31"]],
     "codesets": ["/nonexistent.json", 5, []],
     "split": [5, "x"],
+    "split.no_such_field": [1],
     "split.ratios": [
         [0.5, 0.2, 0.2],
         [1.2, -0.1, -0.1],
@@ -760,10 +764,12 @@ _BAD_VALUES = {
         [True, False, False],
         "abc",
     ],
-    "split.seed": ["x", 1.5, True, None],
+    "split.seed": [-1, "x", 1.5, True, None],
     "features": [5, "x"],
     "features.min_count": [0, -1, 2.7, "x", True, None],
+    "features.no_such_field": [1],
     "train": [5, "x"],
+    "train.no_such_field": [1],
     "train.tasks": [[], ["rrt", "rrt"], ["kidney"], "rrt", 5, None],
     "train.hyperparams": [5, "x"],
     "train.hyperparams.l1_coefficient": [-1, "x", True, _NAN, _INF],
@@ -775,9 +781,22 @@ _BAD_VALUES = {
     "train.hyperparams.patience": [-1, 1.5, "x"],
     "train.hyperparams.seed": [-1, 1.5, "x", True],
     "train.hyperparams.no_such_field": [1],
-    "train.grid": [[], 5, [5], [{"max_epochs": 0}]],
+    "train.grid": [[], 5, [5], [{"max_epochs": 0}], [{"max_epochs": 1}]],
     "evaluate": [5, "x"],
-    "evaluate.target_sensitivities": [[], ["x"], [0], [1.5], [_NAN], 5, None],
+    "evaluate.no_such_field": [1],
+    "evaluate.target_sensitivities": [
+        [],
+        ["x"],
+        [0],
+        [1.5],
+        [_NAN],
+        5,
+        None,
+        "1",
+        [True],
+        ["0.5"],
+        {"0.5": 1},
+    ],
 }
 
 
@@ -875,6 +894,18 @@ def test_external_claims_config_requires_dataset_range(tmp_path):
     )
     with pytest.raises(ConfigError, match="dataset_range"):
         load_pipeline_config(path)
+
+
+@pytest.mark.parametrize("claims", [5, ["a"]], ids=["int", "list"])
+def test_external_claims_path_must_be_a_string(tmp_path, capsys, claims):
+    path = write_config(tmp_path, claims=claims, dataset_range=["2011-01-01", "2016-12-31"])
+    raw = json.loads(path.read_text())
+    del raw["synth"]
+    path.write_text(json.dumps(raw))
+    assert main(["triggers", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: claims must be a path string") and len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
 
 
 def test_grid_config_parsed(tmp_path):
