@@ -501,8 +501,9 @@ def load_pipeline_config(
     if "grid" in train and "hyperparams" in train:
         raise ConfigError("train takes hyperparams or a grid, not both")
     where = "train.grid" if "grid" in train else "train.hyperparams"
+    pinned = {} if seed_override is None else {"seed": seed + 2}
     hp_sets = tuple(
-        HyperParams(**{"seed": seed + 2} | read_section(hp, where, HYPERPARAM_FIELDS))
+        HyperParams(**{"seed": seed + 2} | read_section(hp, where, HYPERPARAM_FIELDS) | pinned)
         for hp in train.get("grid", [train.get("hyperparams", {})])
     )
     targets = evaluate.get("target_sensitivities", (0.6, 0.7, 0.8))

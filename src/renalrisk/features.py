@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 
@@ -226,42 +227,22 @@ def column_map(vocab: Vocabulary, pairs: PairTable) -> np.ndarray:
 # One row per eligible trigger:
 #   beneficiary_id TAB trigger_date TAB rrt TAB dialysis TAB transplant TAB i,j,k
 # where the label columns hold the disjoint class index (0..5) and the final
-# column holds comma-joined, strictly increasing active feature indices.
+# column holds comma-joined, strictly increasing active feature indices. A
+# VOCAB_HEADER comment, written by featurize, names the vocabulary's content hash.
+
+VOCAB_HEADER = "# vocab="
 
 
+@dataclass(eq=False)
 class FeatureMatrix:
     """CSR-style container for featurized triggers and their task labels."""
 
-    def __init__(self, n_features: int, vocab_hash: str | None = None):
-        self.n_features = n_features
-        self.vocab_hash = vocab_hash
-        self.ids: list[tuple[str, str]] = []
-        self.labels: dict[str, list[int]] = {task: [] for task in TASKS}
-        self._indices: list[np.ndarray] = []
-        self.indptr = [0]
-
-    def add_row(
-        self,
-        beneficiary_id: str,
-        trigger_date: str,
-        classes: dict[str, int],
-        indices: np.ndarray,
-    ) -> None:
-        self.ids.append((beneficiary_id, trigger_date))
-        for task in TASKS:
-            self.labels[task].append(classes[task])
-        self._indices.append(np.asarray(indices, dtype=np.int32))
-        self.indptr.append(self.indptr[-1] + len(indices))
-
-    def finalize(self) -> None:
-        self.indices = (
-            np.concatenate(self._indices)
-            if self._indices
-            else np.empty(0, dtype=np.int32)
-        )
-        self.indptr = np.asarray(self.indptr, dtype=np.int64)
-        self.y = {task: np.asarray(v, dtype=np.int64) for task, v in self.labels.items()}
-        self._indices = []
+    n_features: int
+    ids: list[tuple[str, str]]
+    y: dict[str, np.ndarray]  # task -> class index per row
+    indptr: np.ndarray
+    indices: np.ndarray
+    vocab_hash: str | None = None
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -294,15 +275,17 @@ def _parse_indices(raw: str, line_no: int) -> np.ndarray:
     return indices.astype(np.int32)
 
 
-def iter_feature_rows(source) -> Iterator[tuple[str, str, dict[str, int], np.ndarray]]:
-    """Parse a feature table; malformed rows raise ParseError with their line number.
+def _parse_rows(source, headers: list[str]) -> Iterator[tuple[str, str, list[int], np.ndarray]]:
+    """Rows of a feature table, classes in TASKS order; VOCAB_HEADER values go to headers.
 
-    Each distinct trigger date is checked once per read.
+    A malformed row raises ParseError; each distinct trigger date is checked once per read.
     """
     dates: set[str] = set()
     with naming_file(source):
         for line_no, line in enumerate(_iter_lines(source), start=1):
             if not line.strip() or line.startswith("#"):
+                if line.startswith(VOCAB_HEADER):
+                    headers.append(line[len(VOCAB_HEADER) :].strip())
                 continue
             fields = line.rstrip("\n").split("\t")
             if len(fields) != 3 + len(TASKS):
@@ -312,34 +295,51 @@ def iter_feature_rows(source) -> Iterator[tuple[str, str, dict[str, int], np.nda
             if fields[1] not in dates:
                 _parse_date(fields[1], line_no, "trigger_date")
                 dates.add(fields[1])
-            classes = {}
+            classes = []
             for task, raw in zip(TASKS, fields[2:-1]):
                 cls = _CLASSES.get(raw)
                 if cls is None:
                     raise ParseError(
                         line_no, f"bad {task} class {raw!r} (expected 0..{len(_CLASSES) - 1})"
                     )
-                classes[task] = cls
+                classes.append(cls)
             yield fields[0], fields[1], classes, _parse_indices(fields[-1], line_no)
+
+
+def iter_feature_rows(source) -> Iterator[tuple[str, str, dict[str, int], np.ndarray]]:
+    """Parse a feature table; malformed rows raise ParseError with their line number."""
+    for bid, tdate, classes, indices in _parse_rows(source, []):
+        yield bid, tdate, dict(zip(TASKS, classes)), indices
 
 
 def read_feature_matrix(
     source, n_features: int, vocab_hash: str | None = None
 ) -> FeatureMatrix:
-    """Read a feature table; every index must name one of the n_features columns."""
-    matrix = FeatureMatrix(n_features, vocab_hash)
-    for bid, tdate, classes, indices in iter_feature_rows(source):
-        matrix.add_row(bid, tdate, classes, indices)
-    matrix.finalize()
-    bad = np.flatnonzero((matrix.indices < 0) | (matrix.indices >= n_features))
+    """Read a feature table; every index must name one of the n_features columns.
+
+    Given vocab_hash, the table's VOCAB_HEADER must name that vocabulary.
+    """
+    headers: list[str] = []
+    ids, classes, rows = [], [], []
+    for bid, tdate, row_classes, row in _parse_rows(source, headers):
+        ids.append((bid, tdate))
+        classes.append(row_classes)
+        rows.append(row)
+    if vocab_hash is not None and headers[-1:] != [vocab_hash]:
+        fault = "was built against another vocabulary" if headers else "has no vocabulary header"
+        want = f"{VOCAB_HEADER}{vocab_hash[:12]}..."
+        raise DataError(in_file(source, f"feature table {fault} (expected {want})"))
+    indices = np.concatenate(rows) if rows else np.empty(0, dtype=np.int32)
+    indptr = np.cumsum([0] + [row.size for row in rows], dtype=np.int64)
+    y = dict(zip(TASKS, np.array(classes, dtype=np.int64).reshape(-1, len(TASKS)).T.copy()))
+    bad = np.flatnonzero((indices < 0) | (indices >= n_features))
     if bad.size:
-        row = int(np.searchsorted(matrix.indptr, bad[0], side="right")) - 1
-        bid, tdate = matrix.ids[row]
+        bid, tdate = ids[int(np.searchsorted(indptr, bad[0], side="right")) - 1]
         raise DataError(
             in_file(
                 source,
-                f"feature index {int(matrix.indices[bad[0]])} of the row for {bid} {tdate} "
+                f"feature index {int(indices[bad[0]])} of the row for {bid} {tdate} "
                 f"is outside the {n_features} vocabulary columns",
             )
         )
-    return matrix
+    return FeatureMatrix(n_features, ids, y, indptr, indices, vocab_hash)

@@ -190,18 +190,18 @@ def train(
     valid_matrix: FeatureMatrix,
     y_valid: np.ndarray,
     hp: HyperParams,
-    vocab_hash: str | None = None,
 ) -> TrainResult:
     """Mini-batch gradient descent with proximal L1 and early stopping.
 
     Returns the parameters from the epoch with the best validation
     cross-entropy. Deterministic for a fixed seed: shuffling uses a dedicated
-    PCG64 stream and all reductions run in a fixed order.
+    PCG64 stream and all reductions run in a fixed order. The parameters carry
+    the vocabulary hash of train_matrix.
     """
     hp.validate()
     if len(train_matrix) == 0:
         raise DataError("training set is empty")
-    n_features = train_matrix.n_features
+    n_features, vocab_hash = train_matrix.n_features, train_matrix.vocab_hash
     weights = np.zeros((N_CLASSES, n_features))
     bias = np.zeros(N_CLASSES)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(hp.seed)))
@@ -254,7 +254,6 @@ def tune(
     y_train: np.ndarray,
     valid_matrix: FeatureMatrix,
     y_valid: np.ndarray,
-    vocab_hash: str | None = None,
 ) -> tuple[HyperParams, TrainResult, list[tuple[HyperParams, float]]]:
     """Exhaustive grid search minimizing validation cross-entropy.
 
@@ -267,7 +266,7 @@ def tune(
     best: tuple[HyperParams, TrainResult] | None = None
     evaluated = []
     for hp in unique:
-        result = train(train_matrix, y_train, valid_matrix, y_valid, hp, vocab_hash)
+        result = train(train_matrix, y_train, valid_matrix, y_valid, hp)
         evaluated.append((hp, result.best_valid_loss))
         if best is None or result.best_valid_loss < best[1].best_valid_loss:
             best = (hp, result)

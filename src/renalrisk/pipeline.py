@@ -76,11 +76,11 @@ def _sha256_text(text: str) -> str:
 
 class _HashCache:
     def __init__(self):
-        self._cache: dict[tuple[str, float, int], str] = {}
+        self._cache: dict[tuple[str, int, int], str] = {}
 
     def file_sha256(self, path: Path) -> str:
         stat = path.stat()
-        key = (str(path), stat.st_mtime, stat.st_size)
+        key = (str(path), stat.st_mtime_ns, stat.st_size)
         if key not in self._cache:
             digest = hashlib.sha256()
             with open(path, "rb") as handle:
@@ -465,7 +465,7 @@ def _run_featurize(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -
         handles = {}
         for split in n_rows:
             handles[split] = _open_text_artifact(stack, paths[f"features_{split}"], lineage)
-            handles[split].write(f"# vocab={vocab_hash}\n")
+            handles[split].write(f"{feat_mod.VOCAB_HEADER}{vocab_hash}\n")
         for bid in sorted(eligible_by_bid):
             split = split_of(bid)
             out = handles[split]
@@ -482,22 +482,6 @@ def _run_featurize(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -
     )
 
 
-def _feature_file_vocab_hash(path: Path) -> str | None:
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            if not line.startswith("#"):
-                return None
-            if line.startswith("# vocab="):
-                return line[len("# vocab=") :].strip()
-    return None
-
-
-def _load_matrix(path: Path, vocab: feat_mod.Vocabulary) -> feat_mod.FeatureMatrix:
-    from . import features as feat_mod
-
-    return feat_mod.read_feature_matrix(path, len(vocab), _feature_file_vocab_hash(path))
-
-
 def _run_train(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path], only_task=None) -> None:
     import numpy as np
 
@@ -505,12 +489,9 @@ def _run_train(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path], only_
     from . import model as model_mod
 
     vocab = feat_mod.Vocabulary.from_file(paths["vocab"])
-    vocab_hash = vocab.content_hash()
-    train_matrix = _load_matrix(paths["features_train"], vocab)
-    valid_matrix = _load_matrix(paths["features_valid"], vocab)
-    for m, name in ((train_matrix, "features_train"), (valid_matrix, "features_valid")):
-        if m.vocab_hash and m.vocab_hash != vocab_hash:
-            raise DataError(f"{name} was built against a different vocabulary")
+    width, vocab_hash = len(vocab), vocab.content_hash()
+    train_matrix = feat_mod.read_feature_matrix(paths["features_train"], width, vocab_hash)
+    valid_matrix = feat_mod.read_feature_matrix(paths["features_valid"], width, vocab_hash)
     started = time.monotonic()
     for ti, task in enumerate(cfg.tasks):
         if only_task and task != only_task:
@@ -518,9 +499,7 @@ def _run_train(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path], only_
         y_train = train_matrix.y[task]
         y_valid = valid_matrix.y[task]
         grid = tuple(replace(hp, seed=hp.seed + ti) for hp in cfg.grid or (cfg.hyperparams,))
-        hp, result, _ = model_mod.tune(
-            grid, train_matrix, y_train, valid_matrix, y_valid, vocab_hash=vocab_hash
-        )
+        hp, result, _ = model_mod.tune(grid, train_matrix, y_train, valid_matrix, y_valid)
         with atomic_output(paths[f"model_{task}"]) as tmp:
             model_mod.save_model(tmp, result.params, hp, task, lineage)
         log_lines = ["epoch\tstep\tlearning_rate\ttrain_loss\tvalid_loss"]
@@ -543,7 +522,7 @@ def _run_predict(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path], onl
 
     vocab = feat_mod.Vocabulary.from_file(paths["vocab"])
     vocab_hash = vocab.content_hash()
-    test_matrix = _load_matrix(paths["features_test"], vocab)
+    test_matrix = feat_mod.read_feature_matrix(paths["features_test"], len(vocab), vocab_hash)
     for task in cfg.tasks:
         if only_task and task != only_task:
             continue
@@ -599,8 +578,6 @@ def read_predictions(path: Path) -> tuple[list[tuple[str, str]], np.ndarray, np.
 
 
 def _run_evaluate(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) -> None:
-    import numpy as np
-
     from . import evaluation as eval_mod
     from . import features as feat_mod
     from . import triggers as trig_mod
@@ -609,36 +586,33 @@ def _run_evaluate(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) ->
     summary = trig_mod.read_trigger_summary(paths["trigger_summary"])
     prevalence = eval_mod.prevalence_table(dict(zip(TASKS, summary.class_counts)))
 
-    test_rows = list(feat_mod.iter_feature_rows(paths["features_test"]))
-    if not test_rows:
+    # vocab.tsv gives the table's width and header hash; it is not a lineage input
+    vocab = feat_mod.Vocabulary.from_file(paths["vocab"])
+    test = feat_mod.read_feature_matrix(paths["features_test"], len(vocab), vocab.content_hash())
+    if not len(test):
         raise DataError(
             f"evaluate: the test split is empty: {paths['features_test']} holds no eligible "
             "trigger to score (use a larger cohort or a larger test ratio)"
         )
-    test_ids = [(bid, tdate) for bid, tdate, _, _ in test_rows]
-    classes_by_task = {
-        task: np.asarray([classes[task] for _, _, classes, _ in test_rows], dtype=np.int64)
-        for task in TASKS
-    }
 
     performance = {}
     dialysis_scores = None
     for task in cfg.tasks:
         ids, _, p = read_predictions(paths[f"predictions_{task}"])
-        if ids != test_ids:
+        if ids != test.ids:
             raise DataError(
                 f"predictions_{task} rows do not line up with features_test "
                 "(stale artifact lineage?)"
             )
-        performance[task] = eval_mod.horizon_metrics(p, classes_by_task[task])
+        performance[task] = eval_mod.horizon_metrics(p, test.y[task])
         if task == "dialysis":
             dialysis_scores = p[:, -1]
 
     impact_rows = None  # also when no test trigger is a dialysis positive
-    positives = classes_by_task["dialysis"] <= len(HORIZON_DAYS) - 1
+    positives = test.y["dialysis"] <= len(HORIZON_DAYS) - 1
     if dialysis_scores is not None and positives.any():
         impact = eval_mod.impact_analysis(
-            [bid for bid, _ in test_ids],
+            [bid for bid, _ in test.ids],
             dialysis_scores,
             positives,
             summary.had_access,
@@ -658,7 +632,7 @@ def _run_evaluate(cfg: PipelineConfig, lineage: dict, paths: dict[str, Path]) ->
 
     report = {
         "horizon_days": list(HORIZON_DAYS),
-        "n_test_triggers": len(test_ids),
+        "n_test_triggers": len(test),
         "prevalence": prevalence,
         "performance": performance,
         "impact": impact_rows,
@@ -687,12 +661,15 @@ _BODIES = {
 
 def run_stage(cfg: PipelineConfig, stage: str, only_task: str | None = None) -> bool:
     """Run one stage if stale; returns True when work was done."""
+    return _run_stage(cfg, stage, only_task, _HashCache())
+
+
+def _run_stage(cfg: PipelineConfig, stage: str, only_task: str | None, cache: _HashCache) -> bool:
     if stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r}")
     if stage == "synth" and cfg.synth is None:
         raise ConfigError("synth stage requires a synth section in the config")
     cfg.workdir.mkdir(parents=True, exist_ok=True)
-    cache = _HashCache()
     _check_upstream(cfg, stage, cache)
     if stage == "evaluate" and only_task:
         # A one-task report is stamped with its own task list, so a full
@@ -712,7 +689,9 @@ def run_stage(cfg: PipelineConfig, stage: str, only_task: str | None = None) -> 
 
 
 def run_reproduce(cfg: PipelineConfig) -> None:
+    # one cache: a stage hashes only files that the stages before it have settled
+    cache = _HashCache()
     for stage in STAGE_ORDER:
         if stage == "synth" and cfg.synth is None:
             continue
-        run_stage(cfg, stage)
+        _run_stage(cfg, stage, None, cache)

@@ -438,6 +438,37 @@ def test_feature_matrix_index_error_names_its_file(tmp_path):
     )
 
 
+_HASH, _OTHER_HASH = "ab" * 32, "cd" * 32
+
+
+@pytest.mark.parametrize(
+    "header, vocab_hash, message",
+    [
+        ("", _HASH, "feature table has no vocabulary header (expected # vocab=abababababab...)"),
+        (f"# vocab={_OTHER_HASH}\n", _HASH, "feature table was built against another vocabulary"),
+        ("", None, None),
+        (f"# vocab={_OTHER_HASH}\n", None, None),
+        (f"# vocab={_HASH}\n", _HASH, None),
+    ],
+    ids=["missing", "another vocabulary", "missing, no hash", "another, no hash", "same"],
+)
+def test_feature_matrix_checks_the_vocabulary_header_when_given_a_hash(
+    tmp_path, header, vocab_hash, message
+):
+    path = tmp_path / "features_train.tsv"
+    path.write_text("#! {}\n" + header + _feature_line(indices="0,2"))
+    if message is not None:
+        with pytest.raises(DataError) as info:
+            read_feature_matrix(path, 10, vocab_hash)
+        assert str(info.value).startswith(f"{path}: {message}")
+        return
+    matrix = read_feature_matrix(path, 10, vocab_hash)
+    assert matrix.vocab_hash == vocab_hash and matrix.ids == [("b1", "2014-01-01")]
+    assert {task: y.tolist() for task, y in matrix.y.items()} == {
+        "rrt": [0], "dialysis": [1], "transplant": [5]
+    }
+
+
 def test_vocabulary_order_error_names_its_file(tmp_path):
     path = tmp_path / "vocab.tsv"
     path.write_text("#! {}\nb\t0\na\t1\n")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from renalrisk.config import TASKS
 from renalrisk.errors import DataError, NumericError
 from renalrisk.features import FeatureMatrix
 from renalrisk.model import (
@@ -34,12 +35,11 @@ C = 6
 
 def make_matrix(rows, labels, n_features, task_label="rrt"):
     """rows: list of index lists; labels: list of class ints 0..5."""
-    m = FeatureMatrix(n_features)
-    for indices, y in zip(rows, labels):
-        classes = {"rrt": y, "dialysis": y, "transplant": y}
-        m.add_row("b", "2014-01-01", classes, np.asarray(indices, dtype=np.int32))
-    m.finalize()
-    return m
+    indices = np.asarray([i for row in rows for i in row], dtype=np.int32)
+    indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
+    y = np.asarray(labels, dtype=np.int64)
+    ids = [("b", "2014-01-01")] * len(rows)
+    return FeatureMatrix(n_features, ids, {task: y for task in TASKS}, indptr, indices)
 
 
 def rand_problem(rng, n_rows, n_features):

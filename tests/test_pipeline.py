@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import renalrisk
+import renalrisk.pipeline as pipeline_mod
 import renalrisk.synth as synth_mod
 from renalrisk.claims import iter_timelines
 from renalrisk.cli import main
@@ -494,6 +496,36 @@ def test_train_refuses_a_malformed_feature_row(
     assert not list(workdir.glob("*.tmp"))
 
 
+@pytest.mark.parametrize(
+    "stage, table, outputs",
+    [
+        ("train", "features_train", "model_*.bin"),
+        ("predict", "features_test", "predictions_*.tsv"),
+        ("evaluate", "features_test", "report.*"),
+    ],
+)
+def test_a_feature_table_without_its_vocabulary_header_is_refused(
+    completed_run, tmp_path, capsys, stage, table, outputs
+):
+    workdir, cfg_path = _copy_of_run(completed_run, tmp_path)
+    features = workdir / f"{table}.tsv"
+    before = features.read_bytes()
+    lines = features.read_text().splitlines(keepends=True)
+    features.write_text("".join(line for line in lines if not line.startswith("# vocab=")))
+    for path in workdir.glob(outputs):
+        path.unlink()
+    # keep the predictions fresh, so that evaluate reads the edited table
+    old, new = (hashlib.sha256(data).hexdigest() for data in (before, features.read_bytes()))
+    for path in workdir.glob("predictions_*.tsv"):
+        path.write_text(path.read_text().replace(old, new))
+    capsys.readouterr()
+    assert main([stage, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {features}: feature table has no vocabulary header")
+    assert "Traceback" not in err
+    assert not list(workdir.glob(outputs)) and not list(workdir.glob("*.tmp"))
+
+
 @pytest.mark.parametrize("command", ["predict", "reproduce"])
 def test_predict_refuses_a_malformed_trigger_date(completed_run, tmp_path, capsys, command):
     workdir, cfg_path = _copy_of_run(completed_run, tmp_path)
@@ -607,6 +639,42 @@ def test_seed_override_changes_artifacts(completed_run, tmp_path, capsys):
     assert cfg.split_seed == 778
     hp = cfg.hyperparams
     assert hp.seed == 779
+    # a seed set in the hyperparameters or a grid entry follows --seed too
+    raw = json.loads(cfg_path.read_text())
+    raw["train"]["hyperparams"]["seed"] = 5
+    seeded = tmp_path / "seeded.json"
+    seeded.write_text(json.dumps(raw))
+    assert load_pipeline_config(seeded).hyperparams.seed == 5
+    assert load_pipeline_config(seeded, seed_override=9).hyperparams.seed == 11
+    raw["train"] = {"grid": [{"seed": 5}, {"seed": 6, "max_epochs": 2}]}
+    seeded.write_text(json.dumps(raw))
+    assert [g.seed for g in load_pipeline_config(seeded).grid] == [5, 6]
+    assert [g.seed for g in load_pipeline_config(seeded, seed_override=9).grid] == [11, 11]
+
+
+def test_noop_reproduce_hashes_each_input_once(completed_run, tmp_path, monkeypatch, capsys):
+    workdir, cfg_path = _copy_of_run(completed_run, tmp_path)
+    hashed = []
+
+    def spy_open(path, mode="r", *args, **kwargs):
+        if "b" in mode:  # the hash cache reads files in binary
+            hashed.append(Path(path).name)
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline_mod, "open", spy_open, raising=False)
+    capsys.readouterr()
+    assert main(["reproduce", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out.count("up to date") == 6
+    assert sorted(hashed) == [
+        "claims.tsv",
+        "features_test.tsv",
+        "features_train.tsv",
+        "features_valid.tsv",
+        "model_rrt.bin",
+        "predictions_rrt.tsv",
+        "triggers.tsv",
+        "vocab.tsv",
+    ]
 
 
 def test_task_flag_restricted_to_known_tasks():
