@@ -6,13 +6,14 @@ breakage in the unit tests.
 """
 
 import importlib.util
+import json
 import sys
 from datetime import date
 from pathlib import Path
 
 import pytest
 
-from renalrisk import triggers
+from renalrisk import pipeline, triggers
 from renalrisk.claims import default_codeset_library
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -49,3 +50,34 @@ def test_trigger_counters_read_blocks_as_triggers(tracing, eligible_timeline):
     assert tracer.counters["triggers.candidates"] == 12
     assert tracer.counters["triggers.eligible"] == len(eligible)
     assert tracer.counters["triggers.iter_trigger_rows.passes"] == 1
+
+
+def test_a_traced_stage_reports_its_lineage_checks_and_writes(tracing, tmp_path, capsys):
+    """Stage bodies write through ``pipeline``, so the wrappers installed there see them;
+    the runner works out each stage's lineage once."""
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "workdir": str(tmp_path / "work"),
+                "seed": 2209,
+                "synth": {"n_beneficiaries": 150, "target_365d_prevalence": 0.05},
+                "trigger_range": ["2012-01-01", "2015-12-01"],
+            }
+        )
+    )
+    cfg = pipeline.load_pipeline_config(config)
+    assert pipeline.run_stage(cfg, "synth") and pipeline.run_stage(cfg, "triggers")
+    paths = pipeline.artifact_paths(cfg)
+    outputs = [paths[name] for name in pipeline.STAGES["triggers"].outputs(cfg)]
+    before = [path.read_bytes() for path in outputs]
+    for path in outputs:
+        path.unlink()
+    tracer = tracing.Tracer("probe")
+    with tracing.installed(tracer):
+        assert pipeline.run_stage(cfg, "triggers")
+    assert [path.read_bytes() for path in outputs] == before
+    assert tracer.span_count("pipeline.write_text_artifact") == len(outputs) == 2
+    # synth's lineage for the upstream check, then the stage's own
+    assert tracer.span_count("pipeline.expected_lineage") == 2
+    assert tracer.span_count("pipeline.stage_is_fresh") == 2

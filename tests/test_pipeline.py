@@ -94,6 +94,7 @@ _STAGE_MODULES = [
     "renalrisk.synth",
     "renalrisk.triggers",
     "renalrisk.evaluation",
+    "renalrisk.stages",
 ]
 
 
@@ -152,6 +153,7 @@ def test_working_stages_load_only_their_own_modules(completed_run, tmp_path):
         code, out, loaded = _fresh_cli([stage, "--config", str(cfg_path)], _STAGE_MODULES)
         assert code == 0 and "up to date" not in out, stage
         assert "numpy" in loaded and "renalrisk.synth" not in loaded, (stage, loaded)
+        assert "renalrisk.stages" in loaded, stage
 
 
 def test_usage_error_exit_code_1(capsys):
@@ -447,6 +449,23 @@ def test_featurize_refuses_a_beneficiary_whose_trigger_rows_are_split(
     assert not list(workdir.glob("*.tmp"))
 
 
+def test_featurize_refuses_a_beneficiary_the_claims_lack(completed_run, tmp_path, capsys):
+    workdir, cfg_path = _copy_of_run(completed_run, tmp_path)
+    triggers = workdir / "triggers.tsv"
+    lines = triggers.read_text().splitlines(keepends=True)
+    bid = next(line.split("\t")[0] for line in lines if line.split("\t")[2:3] == ["1"])
+    lines = ["ZZZ999" + line[len(bid) :] if line.startswith(bid + "\t") else line for line in lines]
+    triggers.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["featurize", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: featurize: beneficiary 'ZZZ999' of {triggers} has no record in "
+        f"{workdir / 'claims.tsv'} (rerun the triggers stage)\n"
+    )
+    assert not list(workdir.glob("*.tmp"))
+
+
 def test_predict_refuses_a_model_with_a_corrupted_header(completed_run, tmp_path, capsys):
     workdir, cfg_path = _copy_of_run(completed_run, tmp_path)
     model = workdir / "model_rrt.bin"
@@ -616,6 +635,14 @@ def test_failed_triggers_write_leaves_no_temp_file(completed_run, tmp_path, caps
     assert "2013-02-30" in capsys.readouterr().err
     assert not list(workdir.glob("*.tmp"))
     assert (workdir / "triggers.tsv").read_bytes() == before
+
+
+@pytest.mark.parametrize("name", ["triggers.tsv", "report.json", "model_rrt.bin"])
+@pytest.mark.parametrize("content", [b"", b"\xff\xfe not utf-8\n", b'#! {"stage": \n', b"[1]\n"])
+def test_an_artifact_without_a_readable_lineage_reads_as_none(tmp_path, name, content):
+    (tmp_path / name).write_bytes(content)
+    assert read_artifact_lineage(tmp_path / name) is None
+    assert read_artifact_lineage(tmp_path / "missing.tsv") is None
 
 
 def test_atomic_output_replaces_on_success_and_cleans_up_on_error(tmp_path):
@@ -974,6 +1001,27 @@ def test_external_claims_path_must_be_a_string(tmp_path, capsys, claims):
     err = capsys.readouterr().err
     assert err.startswith("error: claims must be a path string") and len(err.splitlines()) == 1
     assert not (tmp_path / "run").exists()
+
+
+def test_external_claims_skip_synth(completed_run, tmp_path, capsys):
+    """With a claims file in place of a synth section, synth neither runs nor is checked."""
+    workdir, _ = completed_run
+    claims = tmp_path / "external.tsv"
+    path = write_config(tmp_path, claims=str(claims), dataset_range=["2011-01-01", "2016-12-31"])
+    raw = json.loads(path.read_text())
+    del raw["synth"]
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert main(["synth", "--config", str(path)]) == 1
+    assert main(["featurize", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"missing input {claims} (provide the configured claims file)" in err
+    shutil.copy(workdir / "run" / "claims.tsv", claims)
+    assert main(["reproduce", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "synth" not in out and "up to date" not in out
+    assert main(["reproduce", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.count("up to date") == 5
 
 
 def test_grid_config_parsed(tmp_path):
