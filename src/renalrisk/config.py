@@ -98,7 +98,9 @@ _BOUNDS = {
     ">= 1": lambda v: v >= 1,
     "> 0": lambda v: v > 0,
     "in (0, 1]": lambda v: 0 < v <= 1,
-    "with start <= end": lambda v: v[0] <= v[1],
+    "holding a first of month": lambda v: (
+        (v[0].year, v[0].month) < (v[1].year, v[1].month) or v[0].day == 1 and v[0] <= v[1]
+    ),
     "spanning two calendar months": lambda v: (v[0].year, v[0].month) < (v[1].year, v[1].month),
 }
 
@@ -437,7 +439,7 @@ CONFIG_FIELDS = {
     "synth": ("object", None),
     "claims": ("path", None),
     "dataset_range": ("dates", None),
-    "trigger_range": ("dates", "with start <= end"),
+    "trigger_range": ("dates", "holding a first of month"),
     "codesets": ("path or null", None),
     "split": ("object", None),
     "features": ("object", None),

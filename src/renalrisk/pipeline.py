@@ -12,12 +12,14 @@ with a lineage line
 (for binary model files the same record lives in the embedded header).
 A stage is up to date when all its outputs exist and their lineage equals the
 lineage recomputed from the current config and input files; rerunning it is
-then a no-op. Stages refuse to run on missing or stale upstream artifacts.
+then a no-op. Each command walks the stages once, in order, working out each
+stage's lineage once; a stage refuses to run on missing or stale upstream
+artifacts.
 Outputs are written to a temp file and renamed into place; a failed write
 deletes its temp file.
 
 At module level this imports the standard library and ``config`` alone.
-``run_stage`` imports ``stages`` (and with it numpy) only once it finds a
+The runner imports ``stages`` (and with it numpy) only once it finds a
 stage stale, so a stage found up to date, and every config error, exits
 without loading the bodies or the stage modules they call.
 """
@@ -147,10 +149,9 @@ def write_text_artifact(path: Path, lineage: dict, body: Iterable[str]) -> None:
 
 @dataclass(frozen=True)
 class StageSpec:
-    name: str
     version: int
     config_subset: Callable[[PipelineConfig], dict]
-    inputs: Callable[[PipelineConfig], dict[str, str]]  # input name -> producing stage
+    inputs: Callable[[PipelineConfig], list[str]]
     outputs: Callable[[PipelineConfig], list[str]]
 
 
@@ -201,57 +202,38 @@ def _eval_subset(cfg: PipelineConfig) -> dict:
 
 
 STAGES: dict[str, StageSpec] = {
-    "synth": StageSpec(
-        "synth",
-        1,
-        _synth_subset,
-        lambda cfg: {},
-        lambda cfg: ["claims", "ground_truth"],
-    ),
+    "synth": StageSpec(1, _synth_subset, lambda cfg: [], lambda cfg: ["claims", "ground_truth"]),
     "triggers": StageSpec(
-        "triggers",
-        1,
-        _triggers_subset,
-        lambda cfg: {"claims": "synth"},
-        lambda cfg: ["triggers", "trigger_summary"],
+        1, _triggers_subset, lambda cfg: ["claims"], lambda cfg: ["triggers", "trigger_summary"]
     ),
     "featurize": StageSpec(
-        "featurize",
         1,
         _featurize_subset,
-        lambda cfg: {"claims": "synth", "triggers": "triggers"},
+        lambda cfg: ["claims", "triggers"],
         lambda cfg: ["split", "vocab", "features_train", "features_valid", "features_test"],
     ),
     "train": StageSpec(
-        "train",
         1,
         _train_subset,
-        lambda cfg: {
-            "vocab": "featurize",
-            "features_train": "featurize",
-            "features_valid": "featurize",
-        },
+        lambda cfg: ["vocab", "features_train", "features_valid"],
         lambda cfg: [f"model_{t}" for t in cfg.tasks] + [f"train_log_{t}" for t in cfg.tasks],
     ),
     "predict": StageSpec(
-        "predict",
         1,
         lambda cfg: {"tasks": list(cfg.tasks)},
-        lambda cfg: {"features_test": "featurize", "vocab": "featurize"}
-        | {f"model_{task}": "train" for task in cfg.tasks},
+        lambda cfg: ["features_test", "vocab"] + [f"model_{t}" for t in cfg.tasks],
         lambda cfg: [f"predictions_{t}" for t in cfg.tasks],
     ),
     "evaluate": StageSpec(
-        "evaluate",
         1,
         _eval_subset,
-        lambda cfg: {"triggers": "triggers", "features_test": "featurize", "claims": "synth"}
-        | {f"predictions_{task}": "predict" for task in cfg.tasks},
+        lambda cfg: ["triggers", "features_test", "claims"]
+        + [f"predictions_{t}" for t in cfg.tasks],
         lambda cfg: ["report_json", "report_text"],
     ),
 }
 
-STAGE_ORDER = ("synth", "triggers", "featurize", "train", "predict", "evaluate")
+STAGE_ORDER = tuple(STAGES)
 
 
 def _stages_run(cfg: PipelineConfig) -> tuple[str, ...]:
@@ -263,14 +245,11 @@ def expected_lineage(cfg: PipelineConfig, stage: str, cache: _HashCache) -> dict
     spec = STAGES[stage]
     paths = artifact_paths(cfg)
     inputs = {}
-    for name, producer in spec.inputs(cfg).items():
+    for name in spec.inputs(cfg):
         path = paths[name]
         if not path.exists():
-            if producer in _stages_run(cfg):
-                hint = f"run the {producer} stage first"
-            else:
-                hint = "provide the configured claims file"
-            raise DataError(f"{stage}: missing input {path} ({hint})")
+            # the walk refuses a missing upstream output first: this is external claims
+            raise DataError(f"{stage}: missing input {path} (provide the configured claims file)")
         inputs[name] = cache.file_sha256(path)
     return {
         "stage": stage,
@@ -287,71 +266,73 @@ def stage_is_fresh(cfg: PipelineConfig, stage: str, lineage: dict) -> bool:
     return all(read_artifact_lineage(paths[name]) == lineage for name in STAGES[stage].outputs(cfg))
 
 
-def _check_upstream(cfg: PipelineConfig, stage: str, cache: _HashCache) -> None:
-    """Refuse to run on stale or missing upstream artifacts.
-
-    Every stage this config runs before this one feeds it, directly or
-    through another. Walks them in pipeline order so the error names the
-    earliest missing artifact (e.g. the model file when evaluate runs before
-    train).
-    """
-    paths = artifact_paths(cfg)
-    stages = _stages_run(cfg)
-    for upstream in stages[: stages.index(stage)]:
-        if stage_is_fresh(cfg, upstream, expected_lineage(cfg, upstream, cache)):
-            continue
-        missing = [
-            paths[name] for name in STAGES[upstream].outputs(cfg) if not paths[name].exists()
-        ]
-        if missing:
-            raise DataError(
-                f"{stage}: missing {missing[0]} (run the {upstream} stage first)"
-            )
-        raise DataError(
-            f"{stage}: artifacts from the {upstream} stage are stale against the "
-            f"current config/inputs; rerun that stage (or `reproduce`)"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Stage runner
 
 
-def run_stage(
-    cfg: PipelineConfig, stage: str, only_task: str | None = None, cache: _HashCache | None = None
-) -> bool:
+def _walk(cfg: PipelineConfig, last: str, only_task: str | None = None) -> Iterator[tuple]:
+    """Yield (stage, cfg, lineage, fresh) for each stage this config runs, in order, through last.
+
+    A stage's lineage is worked out only when the caller advances to it, so it
+    hashes what the stages before it have just written; one cache hashes each
+    settled file once. With only_task, the last stage is fresh when that task's
+    outputs are.
+    """
+    cfg.workdir.mkdir(parents=True, exist_ok=True)
+    cache = _HashCache()
+    stages = _stages_run(cfg)
+    for stage in stages[: stages.index(last) + 1]:
+        task_cfg = replace(cfg, tasks=(only_task,)) if only_task and stage == last else cfg
+        if stage == "evaluate":
+            # A one-task report is stamped with its own task list, so a full
+            # evaluate sees it as stale and replaces it.
+            cfg = task_cfg
+        lineage = expected_lineage(cfg, stage, cache)
+        yield stage, cfg, lineage, stage_is_fresh(task_cfg, stage, lineage)
+
+
+def _run(stage: str, cfg: PipelineConfig, lineage: dict, fresh: bool, only_task=None) -> bool:
+    """Run the stage's body unless it is fresh; returns True when work was done."""
+    if fresh:
+        print(f"{stage}: up to date")
+        return False
+    from . import stages  # the bodies, and numpy with them, load only when there is work
+
+    task_args = (only_task,) if stage in ("train", "predict") else ()
+    stages.BODIES[stage](cfg, lineage, artifact_paths(cfg), *task_args)
+    return True
+
+
+def run_stage(cfg: PipelineConfig, stage: str, only_task: str | None = None) -> bool:
     """Run one stage if stale; returns True when work was done.
 
-    A cache shared across calls hashes each input file once.
+    Every stage this config runs before this one feeds it, directly or through
+    another, so it refuses at the first of them that is not fresh: the error
+    names the earliest missing artifact (e.g. the model file when evaluate runs
+    before train).
     """
     if stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r}")
     if stage not in _stages_run(cfg):
         raise ConfigError("synth stage requires a synth section in the config")
-    if cache is None:
-        cache = _HashCache()
-    cfg.workdir.mkdir(parents=True, exist_ok=True)
-    _check_upstream(cfg, stage, cache)
-    if stage == "evaluate" and only_task:
-        # A one-task report is stamped with its own task list, so a full
-        # evaluate sees it as stale and replaces it.
-        cfg = replace(cfg, tasks=tuple(t for t in cfg.tasks if t == only_task))
-    lineage = expected_lineage(cfg, stage, cache)
-    if stage_is_fresh(cfg, stage, lineage):
-        print(f"{stage}: up to date")
-        return False
-    from . import stages  # the bodies, and numpy with them, load only when there is work
-
-    body, paths = stages.BODIES[stage], artifact_paths(cfg)
-    if stage in ("train", "predict"):
-        body(cfg, lineage, paths, only_task)
-    else:
-        body(cfg, lineage, paths)
-    return True
+    if only_task is not None and only_task not in cfg.tasks:
+        raise ConfigError(
+            f"--task {only_task} is not a configured task (train.tasks: {', '.join(cfg.tasks)})"
+        )
+    paths = artifact_paths(cfg)
+    for name, stage_cfg, lineage, fresh in _walk(cfg, stage, only_task):
+        if name == stage:
+            return _run(stage, stage_cfg, lineage, fresh, only_task)
+        if not fresh:
+            missing = [paths[n] for n in STAGES[name].outputs(cfg) if not paths[n].exists()]
+            if missing:
+                raise DataError(f"{stage}: missing {missing[0]} (run the {name} stage first)")
+            raise DataError(
+                f"{stage}: artifacts from the {name} stage are stale against the "
+                f"current config/inputs; rerun that stage (or `reproduce`)"
+            )
 
 
 def run_reproduce(cfg: PipelineConfig) -> None:
-    # one cache: a stage hashes only files that the stages before it have settled
-    cache = _HashCache()
-    for stage in _stages_run(cfg):
-        run_stage(cfg, stage, cache=cache)
+    for step in _walk(cfg, STAGE_ORDER[-1]):
+        _run(*step)

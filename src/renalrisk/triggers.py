@@ -62,20 +62,9 @@ class Trigger:
 
 def month_firsts(start: date, end: date) -> list[date]:
     """All first-of-month dates d with start <= d <= end."""
-    if start > end:
-        return []
-    first = date(start.year, start.month, 1)
-    if first < start:
-        month = start.year * 12 + start.month  # next month
-        first = date(month // 12, month % 12 + 1, 1)
-    out = []
-    y, m = first.year, first.month
-    while date(y, m, 1) <= end:
-        out.append(date(y, m, 1))
-        m += 1
-        if m == 13:
-            y, m = y + 1, 1
-    return out
+    first = start.year * 12 + start.month - 1 + (start.day > 1)  # months since year 0
+    months = range(first, end.year * 12 + end.month)
+    return [date(m // 12, m % 12 + 1, 1) for m in months]
 
 
 # Bit k of a reason mask is set when the k-th IneligibilityReason holds; 0 is eligible.

@@ -81,3 +81,30 @@ def test_a_traced_stage_reports_its_lineage_checks_and_writes(tracing, tmp_path,
     # synth's lineage for the upstream check, then the stage's own
     assert tracer.span_count("pipeline.expected_lineage") == 2
     assert tracer.span_count("pipeline.stage_is_fresh") == 2
+
+
+def test_a_traced_noop_reproduce_checks_each_stage_once(tracing, tmp_path, capsys):
+    """reproduce makes one walk over the stages: one lineage and one freshness check each."""
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "workdir": str(tmp_path / "work"),
+                "seed": 2209,
+                "synth": {"n_beneficiaries": 150, "target_365d_prevalence": 0.05},
+                "trigger_range": ["2012-01-01", "2015-12-01"],
+                "features": {"min_count": 1},
+                "train": {"tasks": ["rrt"], "hyperparams": {"max_epochs": 2, "batch_size": 256}},
+            }
+        )
+    )
+    cfg = pipeline.load_pipeline_config(config)
+    pipeline.run_reproduce(cfg)
+    capsys.readouterr()
+    tracer = tracing.Tracer("probe")
+    with tracing.installed(tracer):
+        pipeline.run_reproduce(cfg)
+    assert capsys.readouterr().out.count("up to date") == len(pipeline.STAGE_ORDER)
+    assert tracer.span_count("pipeline.expected_lineage") == len(pipeline.STAGE_ORDER)
+    assert tracer.span_count("pipeline.stage_is_fresh") == len(pipeline.STAGE_ORDER)
+    assert tracer.span_count("pipeline.write_text_artifact") == 0

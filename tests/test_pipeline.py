@@ -714,6 +714,44 @@ def test_task_flag_runs_single_task(completed_run, capsys):
     assert "up to date" in capsys.readouterr().out
 
 
+def test_task_flag_must_name_a_configured_task(completed_run, tmp_path, capsys):
+    """A task outside train.tasks is a config error before any work; the report keeps its bytes."""
+    workdir, cfg_path = _copy_of_run(completed_run, tmp_path)
+    before = {path.name: path.read_bytes() for path in workdir.iterdir()}
+    capsys.readouterr()
+    for stage, task in [("train", "dialysis"), ("predict", "dialysis"), ("evaluate", "transplant")]:
+        assert main([stage, "--config", str(cfg_path), "--task", task]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --task {task} is not a configured task (train.tasks: rrt)\n"
+    assert {path.name: path.read_bytes() for path in workdir.iterdir()} == before
+
+
+def test_a_task_run_is_fresh_when_its_own_outputs_are(dialysis_run, tmp_path, capsys):
+    """train --task T reads T's outputs for freshness and stamps the full config's lineage, so
+    it retrains only a missing T, byte for byte; predict --task still needs every model."""
+    workdir, cfg_path = _copy_of_run(dialysis_run, tmp_path)
+    model = workdir / "model_dialysis.bin"
+    before = {path.name: path.read_bytes() for path in workdir.iterdir()}
+    model.unlink()
+    capsys.readouterr()
+    for _ in range(2):
+        assert main(["train", "--config", str(cfg_path), "--task", "rrt"]) == 0
+        assert capsys.readouterr().out == "train: up to date\n"
+    assert main(["predict", "--config", str(cfg_path), "--task", "rrt"]) == 2
+    assert f"missing {model} (run the train stage first)" in capsys.readouterr().err
+    assert main(["train", "--config", str(cfg_path), "--task", "dialysis"]) == 0
+    assert "train[dialysis]" in capsys.readouterr().out
+    assert {path.name: path.read_bytes() for path in workdir.iterdir()} == before
+    assert main(["reproduce", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out.count("up to date") == 6
+    (workdir / "predictions_dialysis.tsv").unlink()
+    assert main(["predict", "--config", str(cfg_path), "--task", "rrt"]) == 0
+    assert capsys.readouterr().out == "predict: up to date\n"
+    assert main(["predict", "--config", str(cfg_path), "--task", "dialysis"]) == 0
+    assert {path.name: path.read_bytes() for path in workdir.iterdir()} == before
+
+
 def test_partial_evaluate_report_is_replaced_by_a_full_evaluate(completed_run, tmp_path, capsys):
     workdir, cfg_path = _copy_of_run(completed_run, tmp_path)
     raw = json.loads(cfg_path.read_text())
@@ -782,6 +820,10 @@ def test_wrong_typed_config_value_is_a_config_error(tmp_path, capsys, field, val
 _REFUSED_AT_LOAD = {
     "short_trigger_buffer": ({"trigger_range": ["2012-01-01", "2016-06-01"]}, "buffer"),
     "trigger_buffer_past_year_9999": ({"trigger_range": ["9999-01-01", "9999-06-01"]}, "buffer"),
+    "trigger_range_without_first_of_month": (
+        {"trigger_range": ["2012-01-02", "2012-01-31"]},
+        "holding a first of month",
+    ),
     "missing_codesets_file": ({"codesets": "/nonexistent.json"}, "codesets file not found"),
     "empty_target_sensitivities": (
         {"evaluate": {"target_sensitivities": []}},
@@ -839,6 +881,7 @@ _BAD_VALUES = {
         ["2012-01-01", "2016-06-01"],
         ["9999-01-01", "9999-06-01"],
         ["2015-01-01", "2012-01-01"],
+        ["2012-01-02", "2012-01-31"],
         ["2012-01-01"],
         "x",
         None,
@@ -1047,10 +1090,11 @@ def test_every_earlier_stage_feeds_each_stage(tmp_path, tasks, external_claims):
     cfg = load_pipeline_config(write_config(tmp_path, train={"tasks": tasks}))
     if external_claims:
         cfg = replace(cfg, synth=None, claims_path=tmp_path / "claims.tsv")
+    producer_of = {name: stage for stage in STAGE_ORDER for name in STAGES[stage].outputs(cfg)}
     for i, stage in enumerate(STAGE_ORDER):
         producers, frontier = set(), [stage]
         while frontier:
-            for producer in STAGES[frontier.pop()].inputs(cfg).values():
+            for producer in map(producer_of.get, STAGES[frontier.pop()].inputs(cfg)):
                 if producer not in producers:
                     producers.add(producer)
                     frontier.append(producer)
