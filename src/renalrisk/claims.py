@@ -8,8 +8,8 @@ fields. Two record kinds are distinguished by a leading tag:
 
 Dates are ISO-8601 (``YYYY-MM-DD``); ``death_date`` may be empty. A claim may
 carry zero or more ``SYSTEM:code`` items. Each beneficiary's claims directly
-follow its beneficiary record. Blank lines and lines starting with ``#`` are
-ignored. The reader (``iter_timelines``) rejects unknown tags.
+follow its beneficiary record. The lines are framed as in every artifact (see
+``artifacts``). The reader (``iter_timelines``) rejects unknown tags.
 
 The reader parses each beneficiary straight into columns: the claims' day
 ordinals in date order, and a CSR of item pair ids (``claim_ptr`` bounds each
@@ -26,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from .artifacts import data_rows
 from .config import (  # noqa: F401  (re-exports)
     DEFAULT_CODESETS,
     CodeSet,
@@ -39,7 +39,7 @@ from .config import (  # noqa: F401  (re-exports)
     default_codeset_library,
     load_codeset_library,
 )
-from .errors import DataError, ParseError, naming_file
+from .errors import DataError, ParseError
 
 
 class Sex(str, Enum):
@@ -169,21 +169,6 @@ def first_occurrences(timeline: ClaimTimeline, codesets: Sequence[CodeSet]) -> l
     return firsts
 
 
-# ---------------------------------------------------------------------------
-# Line-delimited IO
-
-
-LineSource = Union[str, Path, IO[str], Iterable[str]]
-
-
-def _iter_lines(source: LineSource) -> Iterator[str]:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            yield from handle
-    else:
-        yield from source
-
-
 def _parse_date(raw: str, line_no: int, what: str) -> date:
     try:
         return date.fromisoformat(raw)
@@ -236,7 +221,7 @@ def _timeline(
     return ClaimTimeline(bene, day_arr, ptr_arr, id_arr, pairs)
 
 
-def iter_timelines(source: LineSource) -> Iterator[ClaimTimeline]:
+def iter_timelines(source) -> Iterator[ClaimTimeline]:
     """Stream one timeline per beneficiary from a claims file, in file order.
 
     Each beneficiary's claims must directly follow its B record; a claim of an
@@ -255,11 +240,8 @@ def iter_timelines(source: LineSource) -> Iterator[ClaimTimeline]:
     days: list[int] = []
     ptr = [0]
     ids: list[int] = []
-    with naming_file(source):
-        for line_no, line in enumerate(_iter_lines(source), start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
+    with data_rows(source) as rows:
+        for line_no, line in rows:
             fields = line.split("\t")
             tag = fields[0]
             if tag == "C":

@@ -1,7 +1,8 @@
-"""What a no-op stage run reads: the config schema and types, and the model-file header.
+"""What a no-op stage run reads of the configuration: its schema and types.
 
 This module imports the standard library alone. The CLI, the config loader
-and the lineage checks of ``pipeline`` need nothing else, so a stage that
+and the lineage checks of ``pipeline`` need only it and the framing in
+``artifacts`` (the lineage line and the model-file header), so a stage that
 finds its outputs up to date, and every usage or config error, exits without
 loading numpy or a stage module; those load once a stage body runs. The stage
 modules import these names back (``renalrisk.claims.CodeSetLibrary``,
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
@@ -25,7 +25,7 @@ from numbers import Integral, Real
 from pathlib import Path
 from typing import Mapping, Union
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 
 TASKS = ("rrt", "dialysis", "transplant")
 
@@ -303,50 +303,6 @@ HYPERPARAM_FIELDS = {
     "patience": ("integer", ">= 0"),
     "seed": ("integer", ">= 0"),
 }
-
-
-# The model file starts with this magic and a JSON header (format: see ``model``).
-MODEL_MAGIC = b"RNRKLM01"
-
-_HEADER_KEYS = (
-    "format_version",
-    "task",
-    "n_classes",
-    "n_features",
-    "vocab_hash",
-    "hyperparams",
-    "lineage",
-)
-
-
-def _read_header(handle, path) -> dict:
-    if handle.read(8) != MODEL_MAGIC:
-        raise DataError(f"{path}: not a model file (bad magic)")
-    size = handle.read(4)
-    if len(size) != 4:
-        raise DataError(f"{path}: truncated model header")
-    (length,) = struct.unpack("<I", size)
-    blob = handle.read(length)
-    if len(blob) != length:
-        raise DataError(f"{path}: truncated model header")
-    try:
-        header = json.loads(blob.decode("utf-8"))
-    except ValueError:  # UnicodeDecodeError and JSONDecodeError
-        raise DataError(f"{path}: model header is not UTF-8 JSON")
-    if not isinstance(header, dict):
-        raise DataError(f"{path}: model header is not a JSON object")
-    missing = [key for key in _HEADER_KEYS if key not in header]
-    if missing:
-        raise DataError(f"{path}: model header lacks {', '.join(missing)}")
-    for key in ("n_classes", "n_features"):
-        if type(header[key]) is not int or header[key] < 0:
-            raise DataError(f"{path}: model header has a bad {key} {header[key]!r}")
-    return header
-
-
-def read_model_header(path: str | Path) -> dict:
-    with open(path, "rb") as handle:
-        return _read_header(handle, path)
 
 
 # ---------------------------------------------------------------------------

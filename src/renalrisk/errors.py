@@ -4,7 +4,6 @@ The CLI maps these onto process exit codes: configuration problems exit 1,
 data problems exit 2, numeric failures exit 3.
 """
 
-from contextlib import contextmanager
 from os import PathLike
 
 
@@ -38,17 +37,6 @@ class ParseError(DataError):
 def in_file(source, message: str) -> str:
     """message, led by the path of source when source is a file path."""
     return f"{source}: {message}" if isinstance(source, (str, PathLike)) else message
-
-
-@contextmanager
-def naming_file(source):
-    """Name source in a ParseError raised inside the block, when source is a file path."""
-    try:
-        yield
-    except ParseError as exc:
-        if exc.path is not None or not isinstance(source, (str, PathLike)):
-            raise
-        raise ParseError(exc.line_number, exc.message, source) from None
 
 
 class NumericError(RenalRiskError):

@@ -23,9 +23,10 @@ from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
 
-from .claims import ClaimTimeline, PairTable, Race, Sex, _iter_lines, _parse_date
+from .artifacts import VOCAB_HEADER, data_rows
+from .claims import ClaimTimeline, PairTable, Race, Sex, _parse_date
 from .config import N_CLASSES, TASKS, CodeSystem
-from .errors import DataError, ParseError, in_file, naming_file
+from .errors import DataError, ParseError, in_file
 
 BUCKET_EDGES = (30, 90, 365, 3650)
 N_BUCKETS = len(BUCKET_EDGES)
@@ -98,11 +99,9 @@ class Vocabulary:
     @classmethod
     def from_file(cls, source: Union[str, Path, IO[str]]) -> "Vocabulary":
         pairs = []
-        with naming_file(source):
-            for line_no, line in enumerate(_iter_lines(source), start=1):
-                if not line.strip() or line.startswith("#"):
-                    continue
-                key, _, idx = line.rstrip("\n").rpartition("\t")
+        with data_rows(source) as rows:
+            for line_no, line in rows:
+                key, _, idx = line.rpartition("\t")
                 if not key or not idx.isdecimal():
                     raise ParseError(
                         line_no, f"bad vocabulary line {line[:80]!r} (expected key TAB index)"
@@ -230,8 +229,6 @@ def column_map(vocab: Vocabulary, pairs: PairTable) -> np.ndarray:
 # column holds comma-joined, strictly increasing active feature indices. A
 # VOCAB_HEADER comment, written by featurize, names the vocabulary's content hash.
 
-VOCAB_HEADER = "# vocab="
-
 
 @dataclass(eq=False)
 class FeatureMatrix:
@@ -275,19 +272,15 @@ def _parse_indices(raw: str, line_no: int) -> np.ndarray:
     return indices.astype(np.int32)
 
 
-def _parse_rows(source, headers: list[str]) -> Iterator[tuple[str, str, list[int], np.ndarray]]:
-    """Rows of a feature table, classes in TASKS order; VOCAB_HEADER values go to headers.
+def _parse_rows(source, comments: list[str]) -> Iterator[tuple[str, str, list[int], np.ndarray]]:
+    """Rows of a feature table, classes in TASKS order; its comment lines go to comments.
 
     A malformed row raises ParseError; each distinct trigger date is checked once per read.
     """
     dates: set[str] = set()
-    with naming_file(source):
-        for line_no, line in enumerate(_iter_lines(source), start=1):
-            if not line.strip() or line.startswith("#"):
-                if line.startswith(VOCAB_HEADER):
-                    headers.append(line[len(VOCAB_HEADER) :].strip())
-                continue
-            fields = line.rstrip("\n").split("\t")
+    with data_rows(source, comments) as rows:
+        for line_no, line in rows:
+            fields = line.split("\t")
             if len(fields) != 3 + len(TASKS):
                 raise ParseError(line_no, f"bad feature row: {line[:80]!r}")
             if not fields[0]:
@@ -319,12 +312,13 @@ def read_feature_matrix(
 
     Given vocab_hash, the table's VOCAB_HEADER must name that vocabulary.
     """
-    headers: list[str] = []
+    comments: list[str] = []
     ids, classes, rows = [], [], []
-    for bid, tdate, row_classes, row in _parse_rows(source, headers):
+    for bid, tdate, row_classes, row in _parse_rows(source, comments):
         ids.append((bid, tdate))
-        classes.append(row_classes)
+        classes += row_classes
         rows.append(row)
+    headers = [c[len(VOCAB_HEADER) :].strip() for c in comments if c.startswith(VOCAB_HEADER)]
     if vocab_hash is not None and headers[-1:] != [vocab_hash]:
         fault = "was built against another vocabulary" if headers else "has no vocabulary header"
         want = f"{VOCAB_HEADER}{vocab_hash[:12]}..."

@@ -12,29 +12,23 @@ At inference the disjoint softmax scores are cumulatively summed to recover
 overlapping-horizon probabilities, which are therefore monotone by
 construction.
 
-Model files are binary: 8-byte magic ``RNRKLM01``, a little-endian uint32
-header length, a UTF-8 JSON header (task, n_classes, n_features, vocab_hash,
-hyperparameters, lineage), then the weight matrix and bias as little-endian
-float64, C order.
+Model files are binary: the header that ``artifacts`` writes and reads (the
+8-byte magic ``RNRKLM01``, a little-endian uint32 length and a UTF-8 JSON
+object of task, n_classes, n_features, vocab_hash, hyperparameters and
+lineage), then the weight matrix and bias as little-endian float64, C order.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .config import (  # noqa: F401  (re-exports)
-    MODEL_MAGIC,
-    N_CLASSES,
-    HyperParams,
-    _read_header,
-    read_model_header,
-)
+from .artifacts import MODEL_MAGIC, _read_header, read_model_header  # noqa: F401  (re-exports)
+from .artifacts import write_model_header
+from .config import N_CLASSES, HyperParams
 from .errors import ConfigError, DataError, NumericError
 from .features import FeatureMatrix
 
@@ -307,11 +301,8 @@ def save_model(
         "hyperparams": asdict(hp),
         "lineage": lineage or {},
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as handle:
-        handle.write(MODEL_MAGIC)
-        handle.write(struct.pack("<I", len(blob)))
-        handle.write(blob)
+        write_model_header(handle, header)
         handle.write(params.weights.astype("<f8").tobytes(order="C"))
         handle.write(params.bias.astype("<f8").tobytes(order="C"))
 

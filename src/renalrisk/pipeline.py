@@ -4,42 +4,37 @@ This module holds the artifact paths, their lineage, the freshness checks and
 the runner; the stage bodies live in ``stages``.
 
 Every artifact is a flat file under the configured work directory and starts
-with a lineage line
-
-    #! {"stage": ..., "stage_version": ..., "seed": ..., "config_sha256": ...,
-        "inputs": {name: sha256-of-file, ...}}
-
-(for binary model files the same record lives in the embedded header).
-A stage is up to date when all its outputs exist and their lineage equals the
-lineage recomputed from the current config and input files; rerunning it is
-then a no-op. Each command walks the stages once, in order, working out each
+with a lineage line, or for binary model files a header that holds the same
+record; ``artifacts`` owns that framing and reads it back. A stage is up to
+date when all its outputs exist and their lineage equals the lineage
+recomputed from the current config and input files; rerunning it is then a
+no-op. Each command walks the stages once, in order, working out each
 stage's lineage once; a stage refuses to run on missing or stale upstream
 artifacts.
 Outputs are written to a temp file and renamed into place; a failed write
 deletes its temp file.
 
-At module level this imports the standard library and ``config`` alone.
-The runner imports ``stages`` (and with it numpy) only once it finds a
-stage stale, so a stage found up to date, and every config error, exits
-without loading the bodies or the stage modules they call.
+At module level this imports the standard library, ``config`` and
+``artifacts`` alone. The runner imports ``stages`` (and with it numpy) only
+once it finds a stage stale, so a stage found up to date, and every config
+error, exits without loading the bodies or the stage modules they call.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
+from .artifacts import LINEAGE_PREFIX, _canonical, read_artifact_lineage
 from .config import (  # noqa: F401  (load_pipeline_config: a re-export)
     CODESETS_FIELDS,
     TASKS,
     PipelineConfig,
     load_pipeline_config,
-    read_model_header,
 )
 from .errors import ConfigError, DataError
 
@@ -70,10 +65,6 @@ def artifact_paths(cfg: PipelineConfig) -> dict[str, Path]:
     return paths
 
 
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def _sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -92,25 +83,6 @@ class _HashCache:
                     digest.update(block)
             self._cache[key] = digest.hexdigest()
         return self._cache[key]
-
-
-LINEAGE_PREFIX = "#! "
-
-
-def read_artifact_lineage(path: Path) -> dict | None:
-    """The lineage an artifact carries; None when it is missing or has none."""
-    try:
-        if path.suffix == ".bin":
-            return read_model_header(path).get("lineage")
-        if path.suffix == ".json":
-            return json.loads(path.read_text(encoding="utf-8")).get("lineage")
-        with open(path, "r", encoding="utf-8") as handle:
-            first = handle.readline()
-        if first.startswith(LINEAGE_PREFIX):
-            return json.loads(first[len(LINEAGE_PREFIX) :])
-    except (DataError, OSError, ValueError, AttributeError):
-        pass
-    return None
 
 
 @contextmanager

@@ -21,8 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import pipeline
+from .artifacts import data_rows
 from .config import HORIZON_DAYS, N_CLASSES, TASKS, PipelineConfig
-from .errors import DataError, ParseError, naming_file
+from .errors import DataError, ParseError
 
 
 def _feature_tables(paths: dict[str, Path], *splits: str) -> list:
@@ -237,25 +238,22 @@ def read_predictions(path: Path) -> tuple[list[tuple[str, str]], np.ndarray, np.
     line_nos = []
     s_rows = []
     p_rows = []
-    with naming_file(path):
-        with open(path, "r", encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                if line.startswith("#") or not line.strip():
-                    continue
-                try:
-                    bid, tdate, s_txt, p_txt = line.rstrip("\n").split("\t")
-                    s_rows.append([float(v) for v in s_txt.split(",")])
-                    p_rows.append([float(v) for v in p_txt.split(",")])
-                    if len(s_rows[-1]) != n_classes or len(p_rows[-1]) != n_classes - 1:
-                        raise ValueError
-                except ValueError:
-                    raise ParseError(
-                        line_no,
-                        f"bad prediction row {line[:80]!r} (expected id, date, {n_classes} "
-                        f"window scores and {n_classes - 1} horizon probabilities)",
-                    )
-                ids.append((bid, tdate))
-                line_nos.append(line_no)
+    with data_rows(path) as rows:
+        for line_no, line in rows:
+            try:
+                bid, tdate, s_txt, p_txt = line.split("\t")
+                s_rows.append([float(v) for v in s_txt.split(",")])
+                p_rows.append([float(v) for v in p_txt.split(",")])
+                if len(s_rows[-1]) != n_classes or len(p_rows[-1]) != n_classes - 1:
+                    raise ValueError
+            except ValueError:
+                raise ParseError(
+                    line_no,
+                    f"bad prediction row {line[:80]!r} (expected id, date, {n_classes} "
+                    f"window scores and {n_classes - 1} horizon probabilities)",
+                )
+            ids.append((bid, tdate))
+            line_nos.append(line_no)
         s, p = np.asarray(s_rows), np.asarray(p_rows)
         finite = np.isfinite(s).all(axis=-1) & np.isfinite(p).all(axis=-1)
         if not finite.all():

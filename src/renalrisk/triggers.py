@@ -27,7 +27,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .claims import NEVER, ClaimTimeline, _iter_lines, _parse_date, first_occurrences
+from .artifacts import data_rows
+from .claims import NEVER, ClaimTimeline, _parse_date, first_occurrences
 from .config import (  # noqa: F401  (re-exports)
     HORIZON_DAYS,
     N_CLASSES,
@@ -36,7 +37,7 @@ from .config import (  # noqa: F401  (re-exports)
     check_split_ratios,
     check_trigger_buffer,
 )
-from .errors import DataError, ParseError, in_file, naming_file
+from .errors import DataError, ParseError, in_file
 
 # The one-hot label of each class, shared by every trigger that has it.
 _ONE_HOT = tuple(tuple(int(i == cls) for i in range(N_CLASSES)) for cls in range(N_CLASSES))
@@ -225,7 +226,7 @@ def split_beneficiaries(
 
 def _tail_codes(tail: str, line_no: int) -> list[int]:
     """The reason mask and then each task's class of a row, from its fields after the date."""
-    eligible_raw, reasons_raw, *labels = tail.rstrip("\n").split("\t")
+    eligible_raw, reasons_raw, *labels = tail.split("\t")
     if eligible_raw not in ("0", "1"):
         raise ParseError(line_no, f"bad eligible flag {eligible_raw!r} (expected 0 or 1)")
     mask = 0
@@ -271,13 +272,11 @@ def iter_trigger_rows(source) -> Iterator[TriggerBlock]:
         rows = codes[list(tails)]
         return TriggerBlock(bid, grids[run_dates], rows[:, 0], rows[:, 1:].T)
 
-    with naming_file(source):
-        for line_no, line in enumerate(_iter_lines(source), start=1):
-            if not line.strip() or line.startswith("#"):
-                continue
+    with data_rows(source) as rows:
+        for line_no, line in rows:
             fields = line.split("\t", 2)
             tail_id = tail_ids.get(fields[-1]) if len(fields) == 3 else None
-            if tail_id is None and len(line.rstrip("\n").split("\t")) != 4 + len(TASKS):
+            if tail_id is None and len(line.split("\t")) != 4 + len(TASKS):
                 raise ParseError(line_no, f"bad trigger row: {line!r}")
             row_bid, date_raw, tail = fields
             if not row_bid:
@@ -345,13 +344,9 @@ def read_trigger_summary(path) -> TriggerSummary:
     class_counts: dict[str, np.ndarray] = {}
     mask_counts = None
     had_access: dict[str, bool] = {}
-    with naming_file(path), open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.endswith("\n"):
-                raise ParseError(line_no, "last line has no newline (file cut short?)")
-            if not line.strip() or line.startswith("#"):
-                continue
-            kind, *fields = line.rstrip("\n").split("\t")
+    with data_rows(path) as rows:
+        for line_no, line in rows:
+            kind, *fields = line.split("\t")
             if kind == "access" and len(fields) == 2:
                 bid, flag = fields
                 if not bid:

@@ -1,8 +1,9 @@
 """The standard-library module a no-op stage reads, and the names it took over.
 
 The package's public names load their module on first access, and every name
-that moved into `renalrisk.config` still resolves in the module that held it,
-to the same object.
+that moved into `renalrisk.config`, or into the framing module
+`renalrisk.artifacts`, still resolves in the module that held it, to the same
+object.
 """
 
 import importlib
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import renalrisk
-from renalrisk import config
+from renalrisk import artifacts, config
 from renalrisk.pipeline import STAGE_ORDER, STAGES, _canonical, _sha256_text, load_pipeline_config
 
 # What `renalrisk/__init__.py` exported when it imported every module eagerly,
@@ -63,9 +64,16 @@ _MOVED = {
         "check_trigger_buffer",
         "check_split_ratios",
     ],
-    "renalrisk.model": ["HyperParams", "MODEL_MAGIC", "_read_header", "read_model_header"],
+    "renalrisk.model": ["HyperParams"],
     "renalrisk.synth": ["SynthConfig", "DEFAULT_VOCAB_SIZES", "config_from_dict"],
     "renalrisk.pipeline": ["PipelineConfig", "load_pipeline_config"],
+}
+
+# Names defined in `renalrisk.artifacts`, by the module that defined them before.
+_FRAMING = {
+    "renalrisk.model": ["MODEL_MAGIC", "_read_header", "read_model_header"],
+    "renalrisk.pipeline": ["LINEAGE_PREFIX", "_canonical", "read_artifact_lineage"],
+    "renalrisk.features": ["VOCAB_HEADER"],
 }
 
 
@@ -85,9 +93,13 @@ def test_unknown_package_attribute_raises_attribute_error():
         renalrisk.no_such_name  # noqa: B018
 
 
-@pytest.mark.parametrize("module, name", [(m, n) for m, names in _MOVED.items() for n in names])
+@pytest.mark.parametrize(
+    "module, name",
+    [(m, n) for moved in (_MOVED, _FRAMING) for m, names in moved.items() for n in names],
+)
 def test_moved_name_resolves_in_its_old_module(module, name):
-    assert getattr(importlib.import_module(module), name) is getattr(config, name)
+    home = artifacts if name in _FRAMING.get(module, ()) else config
+    assert getattr(importlib.import_module(module), name) is getattr(home, name)
 
 
 # Each stage's lineage config_sha256 for the shipped configs. A change to how the

@@ -421,8 +421,9 @@ def test_featurize_names_a_truncated_trigger_table(completed_run, tmp_path, caps
     capsys.readouterr()
     assert main(["featurize", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
-    label = cut.rsplit("\t", 1)[1]
-    assert err.startswith(f"error: {triggers}: line {last + 1}: bad transplant label {label!r}")
+    assert err.startswith(
+        f"error: {triggers}: line {last + 1}: last line has no newline (file cut short?)"
+    )
     assert "Traceback" not in err
     assert not list(workdir.glob("*.tmp"))
 
